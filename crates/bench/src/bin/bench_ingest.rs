@@ -51,21 +51,13 @@ fn main() {
     .into_iter()
     .map(|(label, policy)| ingest_run(label, policy, &base, &stream, &marks))
     .collect();
-    // Trajectory row for the concurrent-apply path: the same layered
-    // policy over a 4-shard store with rebuilds fanned out on 4 workers,
-    // on a source-spread stream (several partitions rebuild per delta —
-    // the shape the fan-out pays on; the speedup gate itself lives in
-    // bench_store, where core availability is accounted for).
+    // Trajectory row for the sharded store: the same layered policy over
+    // a 4-shard store, on a source-spread stream (several partitions
+    // rebuild per delta, across every shard chain).
     let spread = ingest_stream_spread(vertices, DELTAS, EDGES_PER_DELTA, 8);
     runs.push(ingest_run_on(
         "layered(k=16)+shards4",
         ShardedSnapshotStore::with_shards(base.clone(), 4),
-        &spread,
-        &marks,
-    ));
-    runs.push(ingest_run_on(
-        "layered(k=16)+shards4+apply4",
-        ShardedSnapshotStore::with_shards(base.clone(), 4).with_apply_workers(4),
         &spread,
         &marks,
     ));

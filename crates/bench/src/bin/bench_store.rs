@@ -13,11 +13,9 @@
 //!    per-shard budgets: tight must spill checkpoint-covered records,
 //!    shrink residency, and charge spill re-fetches when a
 //!    historic-bound job reads the evicted state.
-//! 3. **apply** — the same stream applied serially vs fanned out on 4
-//!    workers across the 4 shard chains; concurrent apply is
-//!    bit-identical (asserted) and must be ≥1.8× faster at default
-//!    scale on hosts with ≥4 cores (elsewhere the gate is
-//!    recorded-and-skipped in the JSON's `gates` row set).
+//! 3. **apply** — the same stream applied to a 1-shard and a 4-shard
+//!    store: sharding is transparent to the latest view (asserted), and
+//!    the rows record what the shard chains cost in apply wall time.
 //!
 //! Prints the tables and writes `BENCH_store.json` so CI can track the
 //! trajectory point by point.  Accepts the standard `--full` / `--tiny`
@@ -25,7 +23,7 @@
 
 use cgraph_bench::{
     apply_sweep, capacity_sweep, community_graph, ingest_stream_spread, out_of_core_hierarchy,
-    placement_sweep, print_table, store_sweep_json, Scale, WallGate,
+    placement_sweep, print_table, store_sweep_json, Scale,
 };
 use cgraph_graph::vertex_cut::VertexCutPartitioner;
 use cgraph_graph::{generate, Partitioner, ShardCapacity};
@@ -100,15 +98,12 @@ fn main() {
         reduction * 100.0
     );
 
-    // --- capacity + concurrent apply: the 4-shard ingest stream ---
+    // --- capacity + apply: the 4-shard ingest stream ---
     let vertices: u32 = 1 << (21u32.saturating_sub(scale.shrink)).clamp(13, 17);
     let partitions = (vertices as usize / 2048).clamp(8, 64);
     let base = VertexCutPartitioner::new(partitions).partition(&generate::cycle(vertices));
-    // 16 spread sources: each delta rebuilds ~16 partitions, enough
-    // estimated edge work that the store's apply work-size threshold
-    // lets a 4-worker fan-out engage at default scale (smaller spreads
-    // would be clamped serial — correctly, but then the sweep below
-    // measures nothing).
+    // 16 spread sources: each delta rebuilds ~16 partitions across all
+    // four shard chains.
     let stream = ingest_stream_spread(vertices, DELTAS, 256, 16);
 
     // The tight budget derives from the unlimited run's residency, so
@@ -161,15 +156,15 @@ fn main() {
         "historic reads of spilled state must be priced"
     );
 
-    let apply = apply_sweep(&base, &stream, SHARDS, &[1, 2, 4]);
+    let apply = apply_sweep(&base, &stream, &[1, SHARDS]);
     print_table(
-        "concurrent apply sweep (200-delta stream, 4 shards)",
-        &["apply workers", "total ms", "speedup", "override KB"],
+        "apply sweep (200-delta stream)",
+        &["shards", "total ms", "vs 1 shard", "override KB"],
         &apply
             .iter()
             .map(|p| {
                 vec![
-                    p.apply_workers.to_string(),
+                    p.shards.to_string(),
                     format!("{:.1}", p.total_apply_us / 1e3),
                     format!("{:.2}x", apply[0].total_apply_us / p.total_apply_us),
                     format!("{:.0}", p.override_bytes as f64 / 1e3),
@@ -177,29 +172,6 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    let speedup = apply[0].total_apply_us / apply.last().unwrap().total_apply_us;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "\nconcurrent apply speedup (4 workers vs serial): {speedup:.2}x over {DELTAS} deltas \
-         ({cores} core(s) available)"
-    );
-    // Wall-clock parallelism needs physical cores: the gate is live at
-    // default scale on >=4-core machines (CI's runners qualify) and
-    // recorded-and-skipped where the hardware cannot express it —
-    // bit-identity above is asserted unconditionally either way.  The
-    // outcome lands in the JSON's `gates` row set.
-    let gate = WallGate::resolve("concurrent-apply", 1.8, speedup, cores, scale.shrink <= 5);
-    if gate.enforced() {
-        assert!(
-            speedup >= 1.8,
-            "4-worker apply must be >=1.8x serial on the 4-shard stream, got {speedup:.2}x"
-        );
-    } else {
-        println!(
-            "(speedup gate {}: {cores} core(s), shrink {})",
-            gate.status, scale.shrink
-        );
-    }
 
     let json = store_sweep_json(
         "community-rmat+cycle",
@@ -207,7 +179,6 @@ fn main() {
         &placement,
         &capacity,
         &apply,
-        &[gate],
     );
     std::fs::write(&out_path, json).expect("write BENCH_store.json");
     println!("wrote {out_path}");

@@ -5,23 +5,26 @@
 //! an out-of-core hierarchy (disk-bound loads — the regime the
 //! prefetch pipeline targets), prints the table, and writes
 //! `BENCH_wavefront.json` so CI can track the perf trajectory point by
-//! point.  `io_workers > 0` rows route rounds through the
-//! channel-staged concurrent executor; results are bit-identical to
-//! the fork-join rows, only the wall clock moves.
+//! point.  Each row's lanes are its store's shards (`s` shards, placed
+//! round-robin).  `io_workers > 0` rows fetch on dedicated I/O threads
+//! instead of inline on the main thread; results are bit-identical to
+//! their `io_workers = 0` twins, only the wall clock moves.
 //!
 //! Two extra checks ride along:
 //!
-//! - **Wall gate** — the concurrent executor (4 compute workers, 4 I/O
-//!   workers) must beat the serial executor (1 worker, fork-join) by
-//!   ≥1.5× wall clock at `k=4 s=4 d=2`, best of 3 runs each, with
-//!   identical loads/metrics/modeled time.  Enforced at default scale
-//!   and above on hosts with ≥4 cores; recorded-and-skipped (JSON
-//!   `gates` row set) elsewhere.
+//! - **Wall gate** — the executor at 4 trigger workers and 4 I/O
+//!   workers must beat one trigger worker with inline fetches by ≥1.5×
+//!   wall clock at `k=4 s=4 d=2`, best of 3 runs each, with identical
+//!   loads/metrics/modeled time.  Enforced at default scale and above
+//!   on hosts with ≥4 cores; recorded-and-skipped (JSON `gates` row
+//!   set) elsewhere.
 //! - **Steady-state allocation smoke** — a counting global allocator
-//!   steps a concurrent-executor engine round by round and asserts the
-//!   net live-byte growth across post-warmup rounds stays within a
-//!   small bound: the round buffers, channel payloads, and chunk queue
-//!   all recycle instead of reallocating per round.
+//!   steps an engine round by round and asserts the net live-byte
+//!   growth across post-warmup rounds stays within a small bound: the
+//!   round buffers, channel payloads, and chunk queue all recycle
+//!   instead of reallocating per round.  It runs twice: on a multi-slot
+//!   wave with I/O workers, and on the default configuration (width 1,
+//!   inline fetches).
 //!
 //! Accepts the standard `--full` / `--tiny` scale flags; `--out PATH`
 //! overrides the JSON location.
@@ -32,8 +35,8 @@ use std::sync::Arc;
 
 use cgraph_algos::PageRank;
 use cgraph_bench::{
-    out_of_core_hierarchy, paper_mix, partitions_for, print_table, run_wavefront_observed,
-    run_wavefront_placed, wavefront_sweep, wavefront_sweep_json, Scale, WallGate,
+    out_of_core_hierarchy, paper_mix, partitions_for, print_table, run_wavefront_cfg,
+    run_wavefront_observed, wavefront_sweep, wavefront_sweep_json, Scale, WallGate,
 };
 use cgraph_core::{Engine, EngineConfig, Observer};
 use cgraph_graph::generate::Dataset;
@@ -82,17 +85,7 @@ fn best_wall(
     let mut last = None;
     for _ in 0..reps {
         let start = std::time::Instant::now();
-        let report = run_wavefront_placed(
-            store,
-            workers,
-            h,
-            4,
-            4,
-            2,
-            io_workers,
-            ShardPlacement::RoundRobin,
-            &paper_mix(),
-        );
+        let report = run_wavefront_cfg(store, workers, h, 4, 2, io_workers, &paper_mix());
         best = best.min(start.elapsed().as_secs_f64());
         assert!(report.completed, "gate run must converge");
         last = Some(report);
@@ -100,25 +93,19 @@ fn best_wall(
     (best, last.expect("at least one rep"))
 }
 
-/// Steps a concurrent-executor engine round by round and asserts the
+/// Steps an engine under `config` round by round and asserts the
 /// post-warmup rounds hold net live-byte growth within `bound` bytes:
 /// the per-round fetch/completion payloads, reorder slots, and chunk
 /// queue recycle rather than reallocate.
-fn steady_state_alloc_smoke(store: &Arc<SnapshotStore>, h: HierarchyConfig, bound: i64) {
-    let mut engine = Engine::new(
-        Arc::clone(store),
-        EngineConfig {
-            workers: 2,
-            wavefront: 4,
-            shards: 4,
-            prefetch_depth: 2,
-            io_workers: 2,
-            hierarchy: h,
-            ..EngineConfig::default()
-        },
-    );
-    // Four identical long-running jobs: every round is a multi-slot
-    // concurrent wave and no job finishes (and frees) mid-measurement.
+fn steady_state_alloc_smoke(
+    label: &str,
+    store: &Arc<SnapshotStore>,
+    config: EngineConfig,
+    bound: i64,
+) {
+    let mut engine = Engine::new(Arc::clone(store), config);
+    // Four identical long-running jobs: every round carries all four
+    // and no job finishes (and frees) mid-measurement.
     for _ in 0..4 {
         engine.submit_at(PageRank::default(), 0);
     }
@@ -137,14 +124,14 @@ fn steady_state_alloc_smoke(store: &Arc<SnapshotStore>, h: HierarchyConfig, boun
     let growth = LIVE_BYTES.load(Ordering::Relaxed) - live0;
     let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls0;
     println!(
-        "\nsteady-state allocation smoke: {measured} rounds after warmup, \
+        "\nsteady-state allocation smoke ({label}): {measured} rounds after warmup, \
          net live bytes {growth:+}, {calls} allocation calls"
     );
     if measured >= 2 {
         assert!(
             growth <= bound,
-            "steady-state rounds must not grow the heap: {growth} bytes over \
-             {measured} rounds (bound {bound})"
+            "steady-state rounds ({label}) must not grow the heap: {growth} bytes \
+             over {measured} rounds (bound {bound})"
         );
     }
 }
@@ -163,11 +150,8 @@ fn main() {
     let ds = Dataset::TwitterSim;
     let ps = partitions_for(ds, scale);
     let h = out_of_core_hierarchy(&ps);
-    // Lanes are driven per grid point via `EngineConfig::shards` (the
-    // engine takes the finer of config and store sharding, and both
-    // place round-robin), so a single-shard store keeps the `shards = 1`
-    // rows honest one-lane baselines.
-    let store = Arc::new(SnapshotStore::new(ps));
+    // The gates, the hash row, and the allocation smoke run at s=4.
+    let store = Arc::new(SnapshotStore::with_shards(ps.clone(), 4));
 
     let grid = [
         (1, 1, 0, 0),
@@ -179,13 +163,13 @@ fn main() {
         (4, 4, 1, 0),
         (2, 4, 2, 0),
         (4, 4, 2, 0),
-        // Concurrent-executor rows: same modeled costs and loads as
-        // their io=0 twins, real threads on the wall clock.
+        // I/O-worker rows: same modeled costs and loads as their io=0
+        // twins, real fetch threads on the wall clock.
         (4, 4, 0, 4),
         (4, 4, 2, 2),
         (4, 4, 2, 4),
     ];
-    let points = wavefront_sweep(&store, 2, h, &paper_mix(), &grid);
+    let points = wavefront_sweep(&ps, 2, h, &paper_mix(), &grid);
 
     let rows: Vec<Vec<String>> = points
         .iter()
@@ -208,8 +192,8 @@ fn main() {
         &rows,
     );
 
-    // Concurrency is transparent to everything but the wall clock: each
-    // io>0 row must reproduce its io=0 twin exactly.
+    // Fetch threads are transparent to everything but the wall clock:
+    // each io>0 row must reproduce its io=0 twin exactly.
     for p in points.iter().filter(|p| p.io_workers > 0) {
         let twin = points
             .iter()
@@ -218,7 +202,7 @@ fn main() {
                     && (q.wavefront, q.shards, q.prefetch_depth)
                         == (p.wavefront, p.shards, p.prefetch_depth)
             })
-            .expect("every concurrent row has a fork-join twin");
+            .expect("every io>0 row has an io=0 twin");
         assert_eq!(p.loads, twin.loads, "io={} changed loads", p.io_workers);
         assert_eq!(
             p.modeled_ms.to_bits(),
@@ -228,10 +212,15 @@ fn main() {
         );
     }
 
-    // The modeled-lane placement knob: the k=4 s=4 d=2 point again with
-    // hash-placed lanes.  Placement is transparent to results and loads;
-    // only the lane interleaving (and so the modeled overlap) may move.
-    let hashed = run_wavefront_placed(&store, 2, h, 4, 4, 2, 0, ShardPlacement::Hash, &paper_mix());
+    // Placement: the k=4 s=4 d=2 point again over a hash-placed store.
+    // Placement is transparent to results and loads; only the lane
+    // interleaving (and so the modeled overlap) may move.
+    let hashed_store = Arc::new(SnapshotStore::with_placement(
+        ps.clone(),
+        4,
+        ShardPlacement::Hash,
+    ));
+    let hashed = run_wavefront_cfg(&hashed_store, 2, h, 4, 2, 0, &paper_mix());
     assert!(hashed.completed, "hash-placed sweep point must converge");
     println!(
         "\nhash-placed lanes at k=4 s=4 d=2: modeled {:.3} ms over {} loads",
@@ -255,7 +244,7 @@ fn main() {
         reduction * 100.0
     );
 
-    // --- wall gate: real threads must beat the serial executor ---
+    // --- wall gate: real threads must beat one inline-fetch worker ---
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (serial_wall, serial_report) = best_wall(&store, 1, h, 0, 3);
     let (conc_wall, conc_report) = best_wall(&store, 4, h, 4, 3);
@@ -268,18 +257,18 @@ fn main() {
         "gate runs must accumulate identical metrics"
     );
     // Modeled time varies with the *worker count* (compute parallelism
-    // is part of the cost model) but never with the *executor*: the
-    // concurrent gate run must model exactly what fork-join models at
-    // the same 4 workers.
-    let (_, forkjoin_report) = best_wall(&store, 4, h, 0, 1);
+    // is part of the cost model) but never with the *fetch threads*:
+    // the gate run must model exactly what inline fetches model at the
+    // same 4 workers.
+    let (_, inline_report) = best_wall(&store, 4, h, 0, 1);
     assert_eq!(
-        forkjoin_report.modeled_seconds.to_bits(),
+        inline_report.modeled_seconds.to_bits(),
         conc_report.modeled_seconds.to_bits(),
-        "the executor must not change the modeled time at equal workers"
+        "I/O workers must not change the modeled time at equal workers"
     );
     let speedup = serial_wall / conc_wall;
     println!(
-        "\nconcurrent executor at k=4 s=4 d=2: wall {:.1} ms vs serial {:.1} ms \
+        "\n4 trigger + 4 I/O workers at k=4 s=4 d=2: wall {:.1} ms vs serial {:.1} ms \
          ({speedup:.2}x, best of 3, {cores} core(s) available)",
         conc_wall * 1e3,
         serial_wall * 1e3
@@ -294,8 +283,8 @@ fn main() {
     if gate.enforced() {
         assert!(
             speedup >= 1.5,
-            "concurrent executor (4 compute + 4 I/O workers) must be >=1.5x the serial \
-             executor at k=4 s=4 d=2, got {speedup:.2}x"
+            "4 trigger + 4 I/O workers must be >=1.5x one inline-fetch worker \
+             at k=4 s=4 d=2, got {speedup:.2}x"
         );
     } else {
         println!(
@@ -305,24 +294,13 @@ fn main() {
     }
 
     // --- tracing-overhead gate: a live Observer must be results-neutral
-    // and cost <=5% wall at the same k=4 s=4 d=2 concurrent config ---
+    // and cost <=5% wall at the same k=4 s=4 d=2 I/O-worker config ---
     let best_observed = |observer: fn() -> Option<Arc<Observer>>| {
         let mut best = f64::INFINITY;
         let mut last = None;
         for _ in 0..3 {
             let start = std::time::Instant::now();
-            let report = run_wavefront_observed(
-                &store,
-                4,
-                h,
-                4,
-                4,
-                2,
-                2,
-                ShardPlacement::RoundRobin,
-                &paper_mix(),
-                observer(),
-            );
+            let report = run_wavefront_observed(&store, 4, h, 4, 2, 2, &paper_mix(), observer());
             best = best.min(start.elapsed().as_secs_f64());
             assert!(report.completed, "tracing gate run must converge");
             last = Some(report);
@@ -364,7 +342,25 @@ fn main() {
         );
     }
 
-    steady_state_alloc_smoke(&store, h, 64 * 1024);
+    steady_state_alloc_smoke(
+        "k=4 s=4 d=2 io=2",
+        &store,
+        EngineConfig {
+            workers: 2,
+            wavefront: 4,
+            prefetch_depth: 2,
+            io_workers: 2,
+            hierarchy: h,
+            ..EngineConfig::default()
+        },
+        64 * 1024,
+    );
+    steady_state_alloc_smoke(
+        "default config",
+        &store,
+        EngineConfig { workers: 2, hierarchy: h, ..EngineConfig::default() },
+        64 * 1024,
+    );
 
     let json = wavefront_sweep_json(ds.name(), scale.shrink, &points, &[gate, trace_gate]);
     std::fs::write(&out_path, json).expect("write BENCH_wavefront.json");

@@ -286,59 +286,32 @@ pub fn run_wavefront(
     width: usize,
     mix: &[(BenchmarkJob, u64)],
 ) -> cgraph_core::RunReport {
-    run_wavefront_cfg(store, workers, hierarchy, width, 1, 0, mix)
+    run_wavefront_cfg(store, workers, hierarchy, width, 0, 0, mix)
 }
 
-/// [`run_wavefront`] with the full pipeline configuration: `shards`
-/// stage-one I/O lanes and a `depth`-slot prefetch window.  At
-/// `shards = 1, depth = 0` this is exactly [`run_wavefront`].
+/// [`run_wavefront`] with the full pipeline configuration: a
+/// `depth`-slot prefetch window and `io_workers` dedicated fetch
+/// threads (0 fetches inline on the main thread; results are
+/// bit-identical either way).  The stage-one I/O lanes are the store's
+/// shards, so lane sweeps pass a `with_shards`/`with_placement` store.
+/// At `depth = 0, io_workers = 0` this is exactly [`run_wavefront`].
 pub fn run_wavefront_cfg(
     store: &Arc<SnapshotStore>,
     workers: usize,
     hierarchy: HierarchyConfig,
     width: usize,
-    shards: usize,
-    depth: usize,
-    mix: &[(BenchmarkJob, u64)],
-) -> cgraph_core::RunReport {
-    run_wavefront_placed(
-        store,
-        workers,
-        hierarchy,
-        width,
-        shards,
-        depth,
-        0,
-        ShardPlacement::RoundRobin,
-        mix,
-    )
-}
-
-/// [`run_wavefront_cfg`] with an explicit modeled-lane placement (the
-/// `EngineConfig::placement` knob; a physically sharded store keeps
-/// dictating its own) and an I/O-worker count (`io_workers > 0` routes
-/// rounds through the channel-staged concurrent executor; `0` is the
-/// classic fork-join path — bit-identical either way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_wavefront_placed(
-    store: &Arc<SnapshotStore>,
-    workers: usize,
-    hierarchy: HierarchyConfig,
-    width: usize,
-    shards: usize,
     depth: usize,
     io_workers: usize,
-    placement: ShardPlacement,
     mix: &[(BenchmarkJob, u64)],
 ) -> cgraph_core::RunReport {
     run_wavefront_observed(
-        store, workers, hierarchy, width, shards, depth, io_workers, placement, mix, None,
+        store, workers, hierarchy, width, depth, io_workers, mix, None,
     )
 }
 
-/// [`run_wavefront_placed`] under an explicit observer (`Some` = tracing
+/// [`run_wavefront_cfg`] under an explicit observer (`Some` = tracing
 /// and metrics live) — the traced half of the tracing-overhead gate.
-/// `None` is exactly [`run_wavefront_placed`]: the engine resolves it to
+/// `None` is exactly [`run_wavefront_cfg`]: the engine resolves it to
 /// the disabled observer.
 #[allow(clippy::too_many_arguments)]
 pub fn run_wavefront_observed(
@@ -346,10 +319,8 @@ pub fn run_wavefront_observed(
     workers: usize,
     hierarchy: HierarchyConfig,
     width: usize,
-    shards: usize,
     depth: usize,
     io_workers: usize,
-    placement: ShardPlacement,
     mix: &[(BenchmarkJob, u64)],
     observer: Option<Arc<Observer>>,
 ) -> cgraph_core::RunReport {
@@ -359,8 +330,6 @@ pub fn run_wavefront_observed(
             workers,
             hierarchy,
             wavefront: width,
-            shards,
-            placement,
             prefetch_depth: depth,
             io_workers,
             observer,
@@ -393,7 +362,7 @@ pub struct SweepPoint {
     pub prefetch_depth: usize,
     /// Compute worker threads of the run.
     pub workers: usize,
-    /// Dedicated I/O worker threads (0 = the fork-join executor).
+    /// Dedicated I/O worker threads (0 = fetches inline on main).
     pub io_workers: usize,
     /// Pipeline-modeled milliseconds.
     pub modeled_ms: f64,
@@ -416,10 +385,11 @@ impl SweepPoint {
 }
 
 /// Runs the four-job mix once per
-/// `(wavefront, shards, prefetch_depth, io_workers)` grid point and
-/// returns the measured sweep.
+/// `(wavefront, shards, prefetch_depth, io_workers)` grid point — each
+/// over a `shards`-shard round-robin store of `parts`, whose shards are
+/// the point's stage-one lanes — and returns the measured sweep.
 pub fn wavefront_sweep(
-    store: &Arc<SnapshotStore>,
+    parts: &PartitionSet,
     workers: usize,
     hierarchy: HierarchyConfig,
     mix: &[(BenchmarkJob, u64)],
@@ -427,16 +397,15 @@ pub fn wavefront_sweep(
 ) -> Vec<SweepPoint> {
     grid.iter()
         .map(|&(wavefront, shards, prefetch_depth, io_workers)| {
+            let store = Arc::new(SnapshotStore::with_shards(parts.clone(), shards));
             let start = std::time::Instant::now();
-            let report = run_wavefront_placed(
-                store,
+            let report = run_wavefront_cfg(
+                &store,
                 workers,
                 hierarchy,
                 wavefront,
-                shards,
                 prefetch_depth,
                 io_workers,
-                ShardPlacement::RoundRobin,
                 mix,
             );
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -1520,35 +1489,30 @@ pub fn placement_sweep(
     vec![rr, hash, local]
 }
 
-/// One measured point of the concurrent-apply sweep.
+/// One measured point of the apply sweep.
 #[derive(Clone, Debug)]
 pub struct ApplyPoint {
-    /// Worker threads `apply` fanned out on.
-    pub apply_workers: usize,
     /// Shards of the store.
     pub shards: usize,
     /// Total wall time of the whole stream, µs.
     pub total_apply_us: f64,
-    /// Resident override bytes after the stream (must be identical at
-    /// every worker count — concurrency never changes the result).
+    /// Resident override bytes after the stream.
     pub override_bytes: u64,
 }
 
-/// Applies `stream` once per worker count in `workers_list` over a
-/// fresh `shards`-shard store and measures the wall time.  Asserts the
-/// bit-identity invariant: every run ends with identical resident
-/// bytes and identical latest-view partition versions.
+/// Applies `stream` once per shard count in `shards_list` over a fresh
+/// store and measures the wall time.  Asserts that sharding is
+/// transparent: every run ends with identical latest-view partition
+/// versions.
 pub fn apply_sweep(
     base: &PartitionSet,
     stream: &[GraphDelta],
-    shards: usize,
-    workers_list: &[usize],
+    shards_list: &[usize],
 ) -> Vec<ApplyPoint> {
     let mut points: Vec<ApplyPoint> = Vec::new();
     let mut reference: Option<Vec<cgraph_graph::VersionId>> = None;
-    for &w in workers_list {
-        let mut store =
-            ShardedSnapshotStore::with_shards(base.clone(), shards).with_apply_workers(w);
+    for &shards in shards_list {
+        let mut store = ShardedSnapshotStore::with_shards(base.clone(), shards);
         let start = std::time::Instant::now();
         for (i, d) in stream.iter().enumerate() {
             store.apply((i as u64 + 1) * 10, d).expect("stream applies");
@@ -1562,15 +1526,10 @@ pub fn apply_sweep(
             .collect();
         match &reference {
             None => reference = Some(versions),
-            Some(r) => assert_eq!(r, &versions, "apply_workers={w} diverged"),
+            Some(r) => assert_eq!(r, &versions, "shards={shards} diverged"),
         }
-        points.push(ApplyPoint { apply_workers: w, shards, total_apply_us, override_bytes });
+        points.push(ApplyPoint { shards, total_apply_us, override_bytes });
     }
-    let bytes: Vec<u64> = points.iter().map(|p| p.override_bytes).collect();
-    assert!(
-        bytes.windows(2).all(|w| w[0] == w[1]),
-        "override bytes must not depend on apply workers: {bytes:?}"
-    );
     points
 }
 
@@ -1641,14 +1600,13 @@ pub fn store_sweep_json(
     placement: &[PlacementPoint],
     capacity: &[CapacityPoint],
     apply: &[ApplyPoint],
-    gates: &[WallGate],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
     s.push_str(&format!("  \"scale_shrink\": {scale_shrink},\n"));
-    // Apply speedups are wall-clock: they only express themselves on
-    // machines with real parallelism, so the row set records the cores.
+    // Wall-clock rows only mean something relative to the host, so the
+    // row set records the cores.
     s.push_str(&format!(
         "  \"cores\": {},\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -1696,18 +1654,14 @@ pub fn store_sweep_json(
     s.push_str("  ],\n  \"apply\": [\n");
     for (i, p) in apply.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"apply_workers\": {}, \"shards\": {}, \"total_apply_us\": {:.1}, \
-             \"override_bytes\": {}}}{}\n",
-            p.apply_workers,
+            "    {{\"shards\": {}, \"total_apply_us\": {:.1}, \"override_bytes\": {}}}{}\n",
             p.shards,
             p.total_apply_us,
             p.override_bytes,
             if i + 1 < apply.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str(&gates_json(gates));
-    s.push_str("\n}\n");
+    s.push_str("  ]\n}\n");
     s
 }
 
@@ -1811,15 +1765,14 @@ mod tests {
             h.memory_bytes < structure_bytes(&ps),
             "must stay out-of-core"
         );
-        let store = Arc::new(SnapshotStore::new(ps));
         let grid = [(1, 1, 0, 0), (4, 4, 2, 0), (4, 4, 2, 2)];
-        let points = wavefront_sweep(&store, 2, h, &paper_mix(), &grid);
+        let points = wavefront_sweep(&ps, 2, h, &paper_mix(), &grid);
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(p.modeled_ms > 0.0 && p.loads > 0);
         }
-        // The channel-staged executor row is transparent to everything
-        // but the wall clock.
+        // The I/O-worker row is transparent to everything but the wall
+        // clock.
         assert_eq!(points[2].loads, points[1].loads);
         assert_eq!(
             points[2].modeled_ms.to_bits(),

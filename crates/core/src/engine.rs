@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use cgraph_graph::snapshot::SnapshotStore;
-use cgraph_graph::{FootprintProfile, PartitionSet, ShardPlacement};
+use cgraph_graph::{FootprintProfile, PartitionSet};
 use cgraph_memsim::{CostModel, HierarchyConfig, JobMetrics, Metrics};
 
 use crate::exec::crew::{ExecCrew, ExecError};
@@ -80,52 +80,31 @@ pub struct EngineConfig {
     /// [`crate::exec::wavefront`]).  Algorithm results are identical at
     /// any width; only the access schedule and modeled makespan change.
     pub wavefront: usize,
-    /// Snapshot-store shards modeled as independent stage-one (disk →
-    /// memory) I/O lanes.  A physically sharded store always wins: its
-    /// shard count and round-robin placement define the lanes, keeping
-    /// modeled parallelism and per-lane attribution aligned with the
-    /// actual chains (and comparable with `StreamEngine`'s).  This knob
-    /// only takes effect over a single-shard store, where it models the
-    /// lane layout a `with_shards` store of the same count would have.
-    /// At 1 (the default) there is a single lane — the PR 1 model.
-    pub shards: usize,
-    /// Partition→lane placement for the *modeled* lanes of an unsharded
-    /// store (defaults to round-robin, the PR 2 model).  A physically
-    /// sharded store always dictates both its lane count and its own
-    /// placement — including a locality table
-    /// ([`ShardPlacement::locality`]) — so this knob, like
-    /// [`shards`](Self::shards), only takes effect over a single-shard
-    /// store.
-    pub placement: ShardPlacement,
     /// Prefetch window depth: how many wave slots ahead the
     /// [`crate::exec::PrefetchQueue`] may issue a slot's disk fetch on
-    /// its shard's lane while earlier slots install and compute.  At 0
-    /// (the default) Load stays the synchronous fused stage of PR 1 —
-    /// `shards = 1, prefetch_depth = 0` reproduces PR 1 bit-for-bit.
-    /// Depths > 0 never change algorithm results or traffic counters,
-    /// only the overlap the round's modeled time credits (and the probe
-    /// scans' parallel wall-clock drain).
+    /// its shard's lane while earlier slots install and compute.  The
+    /// lanes are the snapshot store's shards, placed by the store's own
+    /// [`ShardPlacement`](cgraph_graph::ShardPlacement).  At 0 (the
+    /// default) Load stays one fused, synchronous stage.  Depths > 0
+    /// never change algorithm results or traffic counters, only the
+    /// overlap a multi-slot round's modeled time credits and, with
+    /// [`io_workers`](Self::io_workers), how far real fetches run ahead.
     pub prefetch_depth: usize,
     /// Safety valve: abort `run` after this many partition loads (a
     /// round never splits, so a wide wavefront may finish the round it
     /// started when the valve trips).
     pub max_loads: u64,
-    /// Dedicated I/O worker threads for the concurrent executor
-    /// ([`crate::exec::crew`]).  At 0 (the default) rounds execute on
-    /// the classic fork-join path.  At ≥ 1, multi-slot waves run the
-    /// actor-style pipeline: long-lived I/O workers (at most one per
-    /// lane) stream completed loads over bounded channels into the
-    /// main-thread install stage, which feeds a persistent trigger
-    /// pool of [`workers`](Self::workers) threads.  Results, traffic
-    /// counters, and modeled times are bit-identical to the fork-join
-    /// path at any setting — only wall-clock behavior changes.
+    /// Dedicated I/O worker threads for the round executor's fetch
+    /// stage ([`crate::exec::crew`]).  At 0 (the default) the main
+    /// thread runs each slot's fetch (its probe scans) inline, in plan
+    /// order.  At ≥ 1, long-lived I/O workers (at most one per lane)
+    /// fetch up to `prefetch_depth + 1` slots ahead and stream completed
+    /// loads over bounded channels into the main-thread install stage.
+    /// Either way installs feed the same persistent pool of
+    /// [`workers`](Self::workers) trigger threads.  Results, traffic
+    /// counters, and modeled times are bit-identical at any setting —
+    /// only wall-clock behavior changes.
     pub io_workers: usize,
-    /// Bound (in messages) of the concurrent executor's fetch and
-    /// completion channels; clamped to ≥ 1.  Small capacities throttle
-    /// how far I/O workers run ahead; correctness and deadlock freedom
-    /// hold at any value (the install loop never blocks on a full
-    /// queue).
-    pub channel_capacity: usize,
     /// Tracing/metrics observer threaded through the executor
     /// ([`crate::obs`]).  `None` (the default) resolves to
     /// [`Observer::disabled`], so every instrumentation site reduces to
@@ -162,12 +141,9 @@ impl Default for EngineConfig {
             scheduler: SchedulerKind::Priority { theta: 0.5 },
             lookahead: false,
             wavefront: 1,
-            shards: 1,
-            placement: ShardPlacement::RoundRobin,
             prefetch_depth: 0,
             max_loads: u64::MAX,
             io_workers: 0,
-            channel_capacity: 2,
             observer: None,
             faults: None,
         }
@@ -194,8 +170,8 @@ pub struct RunReport {
 }
 
 pub(crate) struct JobEntry {
-    /// Shared so the concurrent executor's long-lived worker threads can
-    /// hold per-round handles; every mutation goes through `&self`
+    /// Shared so the crew's long-lived worker threads can hold per-round
+    /// handles; every mutation goes through `&self`
     /// interior mutability, and the engine remains the only scheduler.
     pub(crate) runtime: Arc<dyn JobRuntime>,
     pub(crate) done: bool,
@@ -237,11 +213,12 @@ pub struct Engine {
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
-    /// Lazily spawned concurrent executor crew (`io_workers > 0` only).
+    /// The round executor's crew, spawned on the first round and joined
+    /// when the engine drops.
     pub(crate) crew: Option<ExecCrew>,
-    /// Set when a concurrent-executor worker died (panicking user code,
-    /// disconnected channel): the crew has been shut down gracefully and
-    /// the engine refuses further rounds.  See [`Engine::exec_error`].
+    /// Set when a crew worker died (panicking user code, disconnected
+    /// channel): the crew has been shut down gracefully and the engine
+    /// refuses further rounds.  See [`Engine::exec_error`].
     pub(crate) fault: Option<ExecError>,
     /// The seeded fault plane, when the config carried one
     /// ([`crate::fault`]); `None` keeps admission a single branch.
@@ -265,17 +242,14 @@ impl Engine {
             SchedulerKind::Priority { theta } => Box::new(PriorityScheduler::new(theta)),
             SchedulerKind::FixedOrder => Box::new(OrderScheduler),
         };
-        // A physically sharded store dictates the lanes *and* the
-        // placement, keeping the model and per-lane attribution aligned
-        // with the actual chains; `config.shards`/`config.placement`
-        // only model lanes over an unsharded store (both default to
-        // round-robin, so equal counts coincide).
-        let (lanes, placement) = if store.num_shards() > 1 {
-            (store.num_shards(), store.placement().clone())
-        } else {
-            (config.shards.max(1), config.placement.clone())
-        };
-        let prefetch = PrefetchQueue::with_placement(lanes, config.prefetch_depth, placement);
+        // The store's shards are the stage-one lanes, placed by the
+        // store's own placement, so the model and per-lane attribution
+        // always match the actual chains.
+        let prefetch = PrefetchQueue::with_placement(
+            store.num_shards(),
+            config.prefetch_depth,
+            store.placement().clone(),
+        );
         let ledger = ChargeLedger::new(config.hierarchy);
         let obs = config.observer.clone().unwrap_or_else(Observer::disabled);
         let rec = obs.recorder("main");
@@ -303,20 +277,19 @@ impl Engine {
         }
     }
 
-    /// The crew the concurrent executor path runs on, spawning it on
-    /// first use: at most one I/O worker per lane, `workers` trigger
-    /// threads, channels bounded at `channel_capacity`, and a dispatch
-    /// window of `prefetch_depth + 1` slots (the modeled release
-    /// constraint, enforced for real).
+    /// The crew every round runs on, spawning it on first use: at most
+    /// one I/O worker per lane (none at `io_workers = 0`), `workers`
+    /// trigger threads, and a dispatch window — also the channel bound —
+    /// of `prefetch_depth + 1` slots (the modeled release constraint,
+    /// enforced for real).
     pub(crate) fn ensure_crew(&mut self) -> ExecCrew {
         match self.crew.take() {
             Some(crew) => crew,
             None => {
-                let nio = self.config.io_workers.min(self.prefetch.shards()).max(1);
+                let nio = self.config.io_workers.min(self.prefetch.shards());
                 ExecCrew::spawn(
                     nio,
                     self.config.workers.max(1),
-                    self.config.channel_capacity.max(1),
                     self.prefetch.depth() + 1,
                     &self.obs,
                     self.faults.clone(),
@@ -435,13 +408,14 @@ impl Engine {
         true
     }
 
-    /// The concurrent executor's parked failure, if a worker thread died
+    /// The round executor's parked failure, if a worker thread died
     /// (panicking user code inside `process_chunk` or a probe scan) or a
-    /// crew channel disconnected.  The engine shuts the crew down
-    /// gracefully at the fault — channels closed, surviving workers
-    /// joined — and every later [`step_round`](Self::step_round) /
-    /// [`run`](Self::run) refuses to execute instead of hanging on or
-    /// re-panicking over a half-dead pipeline.
+    /// crew channel disconnected — on any round, at any width and
+    /// `io_workers` setting.  The engine shuts the crew down gracefully
+    /// at the fault — channels closed, surviving workers joined — and
+    /// every later [`step_round`](Self::step_round) / [`run`](Self::run)
+    /// refuses to execute instead of hanging on or re-panicking over a
+    /// half-dead pipeline.
     pub fn exec_error(&self) -> Option<ExecError> {
         self.fault
     }
@@ -471,8 +445,7 @@ impl Engine {
             }
         };
         // Fault admission: every planned slot fetch passes through the
-        // plane on the main thread, before the round dispatches — the
-        // same gate for the fork-join and concurrent-crew paths.
+        // plane on the main thread, before the round dispatches.
         if !self.admit_fetches(&picks) {
             // A fetch exhausted its budget: its jobs were quarantined
             // (mutating the planner, so this round's plan is stale) and
@@ -783,7 +756,7 @@ impl Engine {
 
     /// The partition co-access footprints observed so far (every
     /// partition each job ever had pending), as a profile
-    /// [`ShardPlacement::locality`] can consume: profile a
+    /// [`cgraph_graph::ShardPlacement::locality`] can consume: profile a
     /// representative run, then rebuild the store under the resulting
     /// placement.
     pub fn footprint_profile(&self) -> FootprintProfile {

@@ -1,14 +1,12 @@
-//! The long-lived executor crew: per-shard I/O workers and trigger
-//! compute workers behind bounded channels.
+//! The engine's long-lived execution crew: persistent trigger workers,
+//! plus optional per-shard I/O workers behind bounded channels.
 //!
-//! PR 1–5 *modeled* the three-stage disk→install→trigger pipeline but
-//! executed it with fork-join `TaskPool` passes: every round spawned
-//! scoped threads, drained them, and joined — so modeled overlap never
-//! became measured overlap.  The crew replaces that with an actor-style
-//! topology that lives as long as the engine:
+//! Every round runs on the crew, whatever its width.  The topology lives
+//! as long as the engine: threads spawn on the first round and join when
+//! the engine drops.
 //!
 //! ```text
-//!             fetch queues (bounded sync_channel, capacity k)
+//!             fetch queues (bounded sync_channel, capacity = window)
 //!   main ──┬──────────────▶ I/O worker 0  (owns lanes 0, n, 2n, …)
 //!          ├──────────────▶ I/O worker 1  (owns lanes 1, n+1, …)
 //!          └──────────────▶ …
@@ -17,34 +15,40 @@
 //!   main: install stage ── ordered reorder buffer, ledger charging
 //!          │ chunk tasks (shared queue, capacity reused across rounds)
 //!          ▼
-//!   compute workers 0..w ── process_chunk, commutative stat merge
+//!   trigger workers 0..w ── process_chunk, commutative stat merge
 //! ```
+//!
+//! With `io_workers = 0` (the default) the crew has no I/O workers and
+//! no channels: the main thread runs each slot's fetch stage inline, in
+//! plan order, right before installing it.  Trigger workers are always
+//! present.
 //!
 //! Ordering guarantees (why determinism survives the concurrency):
 //!
-//! * **Fetch stage** — an I/O worker only *reads* (probe scans of the
-//!   slot's per-job unprocessed counts).  Those counts live in each
-//!   job's pending set, which the round mutates exclusively at its tail
+//! * **Fetch stage** — a fetch only *reads* (probe scans of the slot's
+//!   per-job unprocessed counts).  Those counts live in each job's
+//!   pending set, which the round mutates exclusively at its tail
 //!   (`mark_processed` / `push_and_advance`, both on the main thread
 //!   after every in-flight fetch and chunk has drained), so a probe
-//!   observes the same value no matter when its worker runs it.
+//!   observes the same value no matter when or where it runs.
 //! * **Install stage** — completions arrive in any order but pass
 //!   through a reorder buffer and install strictly in plan order on the
-//!   main thread, so the `ChargeLedger` sees the exact charge sequence
-//!   of the serial executor: identical counters, identical modeled
-//!   stage times.
+//!   main thread, so the `ChargeLedger` sees one fixed charge sequence:
+//!   identical counters, identical modeled stage times.
 //! * **Trigger stage** — chunk results fold into per-entry `u64`
 //!   counters under one mutex; integer addition is commutative, so the
 //!   totals are independent of completion order.  The conversion to
 //!   `f64` stage seconds happens afterwards on the main thread in entry
-//!   order — the serial executor's exact float-accumulation order.
+//!   order.
 //!
-//! Deadlock freedom at any channel capacity ≥ 1: the main thread
-//! dispatches fetches with `try_send` (never blocking on a full fetch
-//! queue) and blocks only on the completion channel, whose producers
-//! (the I/O workers) never wait on anything main holds; the chunk queue
-//! is unbounded-but-recycled, so compute workers always make progress
-//! and signal completion through a condvar main waits on last.
+//! Deadlock freedom: the main thread dispatches at most `window`
+//! fetches beyond the installing slot, and both channels are bounded at
+//! `window`, so a dispatch never finds its queue full and an I/O worker
+//! never blocks on a full completion channel.  Main blocks only on the
+//! completion channel, whose producers never wait on anything main
+//! holds; the chunk queue is unbounded-but-recycled, so trigger workers
+//! always make progress and signal completion through a condvar main
+//! waits on last.
 //!
 //! # Worker failure
 //!
@@ -52,7 +56,7 @@
 //! must not hang or abort the engine, so every blocking edge is
 //! failure-aware:
 //!
-//! * Compute workers run each chunk under an unwind guard: if
+//! * Trigger workers run each chunk under an unwind guard: if
 //!   `process_chunk` panics, the guard settles the chunk's outstanding
 //!   count, records the failure label, and wakes the round condvar, so
 //!   [`ExecCrew::finish_round`] returns [`ExecError::WorkerPanic`]
@@ -61,7 +65,7 @@
 //!   [`ExecCrew::recv_done`] polls I/O worker liveness, so a dead
 //!   worker (its queued fetches lost with it) surfaces as a typed
 //!   error instead of a hang, and a disconnected channel does the same
-//!   in [`ExecCrew::try_dispatch`].
+//!   in [`ExecCrew::dispatch`].
 //! * Every mutex acquisition recovers from poisoning
 //!   (`PoisonError::into_inner`): the guarded state — `u64` counters, a
 //!   task deque, flags — is valid at every intermediate step, so a
@@ -69,19 +73,19 @@
 //!   main thread.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cgraph_graph::PartitionId;
 
 use crate::fault::FaultPlane;
 use crate::job::{JobRuntime, ProcessStats};
-use crate::obs::{EventKind, Observer, Recorder, NONE};
+use crate::obs::{EventKind, Histogram, Observer, Recorder, NONE};
 
-/// A concurrent-executor failure: a worker thread died (panicked user
-/// code) or a channel it served disconnected.  Surfaced by
+/// An executor failure: a worker thread died (panicked user code) or a
+/// channel it served disconnected.  Surfaced by
 /// [`crate::Engine::exec_error`] after the engine shuts the crew down
 /// gracefully; never a panic or a hang on the main thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,16 +106,6 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
-
-/// Outcome of a non-blocking fetch dispatch.
-pub(crate) enum Dispatch {
-    /// Accepted by the lane's I/O worker queue.
-    Sent,
-    /// Queue full; the message is handed back for the caller to stash.
-    Full(FetchMsg),
-    /// The lane's I/O worker is gone (panicked mid-round).
-    Dead(ExecError),
-}
 
 /// Locks a mutex, recovering the guard from a poisoned peer: all crew
 /// state behind mutexes is valid at every intermediate step, so a
@@ -246,16 +240,17 @@ impl Drop for ChunkPanicGuard<'_> {
 }
 
 /// The engine's long-lived execution crew.  Spawned lazily on the first
-/// concurrent round; dropped (channels closed, threads joined) with the
-/// engine.
+/// round; dropped (channels closed, threads joined) with the engine.
 pub(crate) struct ExecCrew {
     /// One bounded fetch queue per I/O worker; lane `l` is owned by
-    /// worker `l % nio`.
+    /// worker `l % nio`.  Empty when fetches run inline.
     fetch_txs: Vec<SyncSender<FetchMsg>>,
-    /// Completed loads, any order; `None` only mid-shutdown.
+    /// Completed loads, any order; `None` without I/O workers and
+    /// mid-shutdown.
     done_rx: Option<Receiver<FetchMsg>>,
     chunks: Arc<ChunkQueue>,
     round: Arc<RoundState>,
+    /// I/O worker handles first (`..nio`), then the trigger workers.
     handles: Vec<JoinHandle<()>>,
     nio: usize,
     /// Dispatch window in slots (`prefetch depth + 1`): how many fetches
@@ -267,71 +262,72 @@ pub(crate) struct ExecCrew {
 }
 
 impl ExecCrew {
-    /// Spawns `nio` I/O workers and `compute` trigger workers over
-    /// channels bounded at `capacity` messages, with a `window`-slot
-    /// fetch dispatch window.  Each worker receives its own
-    /// [`Recorder`] from `obs` (permanently off on a disabled
-    /// observer), created here on the spawning thread and moved into
-    /// the worker — recorders are single-writer by construction.
-    /// `faults` (the engine's fault plane, if any) arms the injected
-    /// worker-death drill: a trigger worker panics on the plane's
-    /// configured `(partition, chunk)` exactly as crashing user code
-    /// would, exercising the typed-failure path end to end.
+    /// Spawns `nio` I/O workers (0 runs fetches inline on the caller)
+    /// and `compute` trigger workers, with a `window`-slot fetch
+    /// dispatch window that also bounds both channels.  Each I/O worker
+    /// receives its own [`Recorder`] from `obs` (permanently off on a
+    /// disabled observer), created here on the spawning thread and
+    /// moved into the worker — recorders are single-writer by
+    /// construction.  Trigger workers write only the lossless
+    /// `trigger_us` registry histogram, never a ring.  `faults` (the
+    /// engine's fault plane, if any) arms the injected worker-death
+    /// drill: a trigger worker panics on the plane's configured
+    /// `(partition, chunk)` exactly as crashing user code would,
+    /// exercising the typed-failure path end to end.
     pub(crate) fn spawn(
         nio: usize,
         compute: usize,
-        capacity: usize,
         window: usize,
         obs: &Observer,
         faults: Option<Arc<FaultPlane>>,
     ) -> Self {
-        let nio = nio.max(1);
         let compute = compute.max(1);
-        let capacity = capacity.max(1);
         let window = window.max(1);
-        let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<FetchMsg>(capacity);
         let mut fetch_txs = Vec::with_capacity(nio);
         let mut handles = Vec::with_capacity(nio + compute);
-        for w in 0..nio {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<FetchMsg>(capacity);
-            fetch_txs.push(tx);
-            let done_tx = done_tx.clone();
-            let rec = obs.recorder(&format!("cgraph-io-{w}"));
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("cgraph-io-{w}"))
-                    .spawn(move || io_loop(rx, done_tx, rec))
-                    .expect("spawn I/O worker"),
-            );
+        let mut done_rx = None;
+        if nio > 0 {
+            let (done_tx, rx) = std::sync::mpsc::sync_channel::<FetchMsg>(window);
+            done_rx = Some(rx);
+            for w in 0..nio {
+                let (tx, rx) = std::sync::mpsc::sync_channel::<FetchMsg>(window);
+                fetch_txs.push(tx);
+                let done_tx = done_tx.clone();
+                let rec = obs.recorder(&format!("cgraph-io-{w}"));
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("cgraph-io-{w}"))
+                        .spawn(move || io_loop(rx, done_tx, rec))
+                        .expect("spawn I/O worker"),
+                );
+            }
         }
-        drop(done_tx);
         let chunks = Arc::new(ChunkQueue::new());
         let round = Arc::new(RoundState {
             inner: Mutex::new(RoundInner { totals: Vec::new(), remaining: 0, failed: None }),
             done: Condvar::new(),
         });
+        let trigger_us = obs
+            .is_enabled()
+            .then(|| obs.registry().histogram("trigger_us"));
         for w in 0..compute {
             let queue = Arc::clone(&chunks);
             let state = Arc::clone(&round);
-            let rec = obs.recorder(&format!("cgraph-trigger-{w}"));
+            let hist = trigger_us.clone();
             let plane = faults.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("cgraph-trigger-{w}"))
-                    .spawn(move || compute_loop(queue, state, rec, plane))
+                    .spawn(move || compute_loop(queue, state, hist, plane))
                     .expect("spawn trigger worker"),
             );
         }
-        ExecCrew {
-            fetch_txs,
-            done_rx: Some(done_rx),
-            chunks,
-            round,
-            handles,
-            nio,
-            window,
-            outstanding: 0,
-        }
+        ExecCrew { fetch_txs, done_rx, chunks, round, handles, nio, window, outstanding: 0 }
+    }
+
+    /// Whether fetches run on I/O workers (`false`: inline on main).
+    pub(crate) fn has_io(&self) -> bool {
+        self.nio > 0
     }
 
     /// Fetch dispatch window in slots.
@@ -358,19 +354,15 @@ impl ExecCrew {
         inner.failed = None;
     }
 
-    /// Non-blocking fetch dispatch to the lane's owning I/O worker; the
-    /// message is handed back when the worker's queue is full so the
-    /// caller can stash it and drain completions instead of blocking.
-    /// A disconnected queue — the worker panicked mid-round — reports
-    /// [`Dispatch::Dead`] instead of panicking the main thread.
-    pub(crate) fn try_dispatch(&self, lane: usize, msg: FetchMsg) -> Dispatch {
-        match self.fetch_txs[lane % self.nio].try_send(msg) {
-            Ok(()) => Dispatch::Sent,
-            Err(TrySendError::Full(msg)) => Dispatch::Full(msg),
-            Err(TrySendError::Disconnected(_)) => Dispatch::Dead(ExecError::WorkerPanic(
-                "an I/O worker's fetch queue is gone",
-            )),
-        }
+    /// Hands a fetch to the lane's owning I/O worker.  Never blocks: the
+    /// caller keeps at most `window` fetches in flight and the queue
+    /// holds `window`.  A disconnected queue — the worker panicked
+    /// mid-round — reports a typed error instead of panicking the main
+    /// thread.
+    pub(crate) fn dispatch(&self, lane: usize, msg: FetchMsg) -> Result<(), ExecError> {
+        self.fetch_txs[lane % self.nio]
+            .send(msg)
+            .map_err(|_| ExecError::WorkerPanic("an I/O worker's fetch queue is gone"))
     }
 
     /// Blocks for the next completed load (any plan order).  Safe to
@@ -400,7 +392,7 @@ impl ExecCrew {
         }
     }
 
-    /// Queues one chunk task for the compute workers.
+    /// Queues one chunk task for the trigger workers.
     pub(crate) fn push_chunk(
         &mut self,
         entry: usize,
@@ -483,7 +475,7 @@ fn io_loop(rx: Receiver<FetchMsg>, done_tx: SyncSender<FetchMsg>, rec: Recorder)
 fn compute_loop(
     queue: Arc<ChunkQueue>,
     round: Arc<RoundState>,
-    rec: Recorder,
+    trigger_us: Option<Arc<Histogram>>,
     faults: Option<Arc<FaultPlane>>,
 ) {
     while let Some(msg) = queue.pop() {
@@ -499,18 +491,11 @@ fn compute_loop(
                 "injected fault-plane chunk panic"
             );
         }
-        let t0 = rec.start();
+        let t0 = trigger_us.as_ref().map(|_| Instant::now());
         let stats = msg.runtime.process_chunk(msg.pid, msg.chunk, msg.nchunks);
         std::mem::forget(guard);
-        if rec.on() {
-            rec.complete(
-                EventKind::TriggerChunk,
-                msg.runtime.id(),
-                msg.pid,
-                NONE,
-                t0,
-                msg.chunk as u64,
-            );
+        if let (Some(hist), Some(t0)) = (&trigger_us, t0) {
+            hist.record(t0.elapsed().as_micros() as u64);
         }
         round.record(msg.entry, stats);
     }
@@ -524,7 +509,7 @@ mod tests {
 
     #[test]
     fn idle_crew_shuts_down() {
-        let crew = ExecCrew::spawn(2, 2, 1, 1, &crate::obs::Observer::disabled(), None);
+        let crew = ExecCrew::spawn(2, 2, 1, &crate::obs::Observer::disabled(), None);
         assert_eq!(crew.nio, 2);
         assert_eq!(crew.window(), 1);
         drop(crew);
@@ -532,8 +517,11 @@ mod tests {
 
     #[test]
     fn crew_clamps_degenerate_parameters() {
-        let crew = ExecCrew::spawn(0, 0, 0, 0, &crate::obs::Observer::disabled(), None);
-        assert_eq!(crew.nio, 1);
+        // Zero I/O workers is the inline-fetch crew; trigger workers and
+        // the window still clamp to one.
+        let crew = ExecCrew::spawn(0, 0, 0, &crate::obs::Observer::disabled(), None);
+        assert!(!crew.has_io());
+        assert_eq!(crew.handles.len(), 1);
         assert_eq!(crew.window(), 1);
     }
 
@@ -599,7 +587,7 @@ mod tests {
         // round must come back with a typed error (not wedge on the
         // condvar, not abort the test process) and the crew must still
         // drop cleanly afterwards.
-        let mut crew = ExecCrew::spawn(1, 2, 1, 1, &crate::obs::Observer::disabled(), None);
+        let mut crew = ExecCrew::spawn(0, 2, 1, &crate::obs::Observer::disabled(), None);
         crew.begin_round(1);
         let runtime: Arc<dyn JobRuntime> = Arc::new(FaultyRuntime { panic_on: 2 });
         for chunk in 0..4 {
@@ -616,7 +604,7 @@ mod tests {
 
     #[test]
     fn clean_chunks_still_fold_after_guard_refactor() {
-        let mut crew = ExecCrew::spawn(1, 2, 1, 1, &crate::obs::Observer::disabled(), None);
+        let mut crew = ExecCrew::spawn(0, 2, 1, &crate::obs::Observer::disabled(), None);
         crew.begin_round(2);
         let runtime: Arc<dyn JobRuntime> = Arc::new(FaultyRuntime { panic_on: usize::MAX });
         for chunk in 0..3 {

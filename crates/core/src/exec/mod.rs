@@ -1,9 +1,6 @@
 //! The layered execution core behind [`crate::Engine`].
 //!
-//! The original engine was a single ~460-line module mixing four
-//! concerns; they now live in three composable layers that every engine
-//! in the workspace (and every future scaling feature — async loading,
-//! sharded stores, multi-tenant batching) builds on:
+//! Every engine in the workspace builds on these layers:
 //!
 //! * [`SlotPlanner`] — maintains the pending `(partition, version)` slot
 //!   map **incrementally**: delta updates on `note_processed` /
@@ -11,28 +8,24 @@
 //!   round, and an indexed slot vector so the scheduler's choice resolves
 //!   in O(log n) instead of an O(n) ordered-map walk.
 //! * [`ChargeLedger`] — the single place where simulated-hierarchy
-//!   traffic and compute are charged and attributed to jobs; unifies the
-//!   charging code previously duplicated between the CGraph engine's
-//!   Load/Push paths and the baseline streaming engine.
-//! * [`wavefront`] — the pipelined Load–Trigger–Push round executor: a
-//!   wave of up to `k` scheduler-planned slots is loaded, their chunk
-//!   tasks drain through one shared worker pass, and the round's modeled
-//!   time overlaps slot *i+1*'s Load with slot *i*'s Trigger (two-stage
-//!   flow-shop makespan).  At `k = 1` the executor reproduces the
-//!   original single-slot engine exactly.
+//!   traffic and compute are charged and attributed to jobs, shared by
+//!   the CGraph engine's Load/Push stages and the baseline streaming
+//!   engine.
+//! * [`wavefront`] — the one Load–Trigger–Push round executor: a wave of
+//!   up to `k` scheduler-planned slots is fetched and installed in plan
+//!   order while the crew's trigger workers drain its chunk tasks, and
+//!   the round's modeled time overlaps slot *i+1*'s Load with slot *i*'s
+//!   Trigger (two-stage flow-shop makespan; linear for one slot).
 //! * [`prefetch`] — the asynchronous-prefetch stage-one scheduler: the
-//!   [`PrefetchQueue`] issues wave slots' disk fetches on per-shard I/O
-//!   lanes up to `prefetch_depth` slots early and prices rounds with the
-//!   three-stage pipeline makespan (disk-fetch → memory-install →
-//!   trigger).  At depth 0 it degenerates to the two-stage model above.
-//! * [`crew`] — the long-lived concurrent executor behind
-//!   `EngineConfig::io_workers`: dedicated per-shard I/O worker threads
-//!   stream completed loads over bounded channels into the main-thread
-//!   install stage, which feeds a persistent trigger-worker pool — the
-//!   modeled pipeline above, executed for real.  Results and modeled
-//!   costs are bit-identical to the fork-join path at any worker or
-//!   channel configuration (see the module docs for the ordering
-//!   argument).
+//!   [`PrefetchQueue`] maps partitions to the store's per-shard I/O
+//!   lanes and prices multi-slot rounds with the three-stage pipeline
+//!   makespan (disk-fetch → memory-install → trigger) when
+//!   `prefetch_depth > 0`.
+//! * [`crew`] — the long-lived threads every round runs on: persistent
+//!   trigger workers, plus per-shard I/O workers behind bounded channels
+//!   when `EngineConfig::io_workers > 0`.  Results and modeled costs are
+//!   bit-identical at any worker configuration (see the module docs for
+//!   the ordering argument).
 
 pub mod crew;
 pub mod ledger;

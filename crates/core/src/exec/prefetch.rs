@@ -1,8 +1,8 @@
 //! Asynchronous partition prefetch: the three-stage pipelined wavefront.
 //!
-//! PR 1's executor overlapped slot *i+1*'s Load with slot *i*'s Trigger,
-//! but Load itself was still one serialized disk→memory→cache stage —
-//! and disk is the slowest resource in the cost model (0.5 GB/s vs the
+//! The two-stage model overlaps slot *i+1*'s Load with slot *i*'s
+//! Trigger, but keeps Load one serialized disk→memory→cache stage — and
+//! disk is the slowest resource in the cost model (0.5 GB/s vs the
 //! memory channel's 20 GB/s).  The prefetch queue splits Load in two and
 //! schedules the halves on the resources they actually occupy:
 //!
@@ -18,20 +18,17 @@
 //! With `depth = 0` the first two stages fuse back into one serialized
 //! Load chain and the model degenerates *exactly* to the two-stage
 //! flow-shop of [`super::wavefront::flowshop_makespan`] — which is why
-//! `prefetch_depth = 0` reproduces PR 1 bit-for-bit.
+//! `prefetch_depth = 0` prices rounds exactly like the two-stage model.
 //!
-//! With `EngineConfig::io_workers > 0` this window is no longer only
-//! modeled: [`super::crew`] runs the fetch stage on real per-shard I/O
-//! worker threads behind bounded channels, and its dispatch loop
+//! With `EngineConfig::io_workers > 0` this window is not only modeled:
+//! [`super::crew`] runs the fetch stage on real per-shard I/O worker
+//! threads behind channels bounded at the window, and its dispatch loop
 //! enforces the same `depth + 1`-slot release constraint (slot `i`'s
 //! fetch is dispatched only once slot `i - 1 - depth` has installed),
 //! so the producer/consumer handoff obeys exactly the buffer bound
 //! this model prices.
 
 use cgraph_graph::{PartitionId, ShardPlacement};
-
-use crate::job::JobRuntime;
-use crate::workers::{run_probe_tasks, ProbeTask};
 
 /// Makespan of a fixed-sequence three-stage pipeline whose first stage
 /// has per-lane capacity and a bounded issue window.
@@ -82,10 +79,9 @@ pub fn pipeline_makespan(
 }
 
 /// The stage-one scheduler of the wavefront executor: owns the lane
-/// placement (mirroring the sharded snapshot store's partition→shard
-/// assignment) and the prefetch window, issues the wave's probe scans
-/// through the worker pool, and prices waves under the three-stage
-/// pipeline model.
+/// placement (the snapshot store's partition→shard assignment) and the
+/// prefetch window, and prices waves under the three-stage pipeline
+/// model.
 #[derive(Clone, Debug)]
 pub struct PrefetchQueue {
     shards: usize,
@@ -102,8 +98,8 @@ impl PrefetchQueue {
     }
 
     /// A queue whose lane assignment follows `placement` — the engine
-    /// passes the backing store's placement so modeled lanes and actual
-    /// shard chains always agree.
+    /// passes the backing store's shard count and placement, so modeled
+    /// lanes and actual shard chains always agree.
     pub fn with_placement(shards: usize, depth: usize, placement: ShardPlacement) -> Self {
         PrefetchQueue { shards: shards.max(1), depth, placement }
     }
@@ -131,19 +127,6 @@ impl PrefetchQueue {
     /// The I/O lane partition `pid` fetches on.
     pub fn lane_of(&self, pid: PartitionId) -> usize {
         self.placement.shard_of(pid, self.shards)
-    }
-
-    /// Issues a wave's stage-one probe scans (per-(slot, job) unprocessed
-    /// counts) through the worker pool in one parallel drain, writing the
-    /// counts to `out` in probe order.
-    pub fn probe_wave(
-        &self,
-        workers: usize,
-        runtimes: &[&dyn JobRuntime],
-        probes: &[ProbeTask],
-        out: &mut Vec<u64>,
-    ) {
-        run_probe_tasks(workers, runtimes, probes, out);
     }
 
     /// Modeled makespan of a wave whose slot `i` fetches `fetch[i]`

@@ -1,40 +1,37 @@
 //! The pipelined Load–Trigger–Push round executor.
 //!
-//! One round executes a scheduler-planned *wavefront* of slots:
+//! One round executes a scheduler-planned *wavefront* of slots — one
+//! slot at the default width 1 — through three stages:
 //!
-//! 1. **Load** — each planned slot's structure partition and private
-//!    tables are charged through the [`ChargeLedger`](super::ChargeLedger)
-//!    in plan order, structures staying pinned for the whole round.  With
-//!    an active [`PrefetchQueue`](super::PrefetchQueue) the wave's
-//!    stage-one probe scans run ahead of the serial charge loop, and the
-//!    slot's disk fetch is priced on its snapshot-store shard's I/O lane
-//!    rather than the shared channel.
-//! 2. **Trigger** — every slot's chunk tasks drain through a shared
-//!    worker pass, so cores finishing one slot's jobs immediately pick
-//!    up the next slot's chunks instead of idling behind a straggler.
-//! 3. **Push** — each job whose iteration completed synchronizes replicas
-//!    and advances, and the slot planner is patched incrementally.
+//! 1. **Load** — each slot is *fetched* (the per-job
+//!    `unprocessed_vertices` probe scans) and then *installed*: its
+//!    structure partition and private tables are charged through the
+//!    [`ChargeLedger`](super::ChargeLedger) in plan order, structures
+//!    staying pinned for the whole round.
+//! 2. **Trigger** — install hands every batch's chunk tasks to the
+//!    crew's persistent trigger workers as soon as it is charged, so
+//!    cores finishing one slot's jobs immediately pick up the next
+//!    slot's chunks instead of idling behind a straggler.
+//! 3. **Push** — once every chunk has drained, each job whose iteration
+//!    completed synchronizes replicas and advances, and the slot planner
+//!    is patched incrementally.
 //!
-//! # Execution paths
+//! # One executor
 //!
-//! With a wavefront of width 1 the executor degenerates to the original
-//! single-slot engine: identical access sequence, identical batching,
-//! identical per-batch chunk drains — bit-for-bit the legacy behavior.
-//! Wider waves run on one of two executors selected by
+//! Every round, at every width, runs on the [`super::crew`]: one install
+//! loop (the single copy of the ledger charge loop) feeding one set of
+//! persistent trigger workers.  Only the fetch stage varies with
 //! `EngineConfig::io_workers`:
 //!
-//! * **Fork-join** (`io_workers = 0`, the default): all slots charge
-//!   serially, then one scoped [`TaskPool`] pass drains every chunk.
-//! * **Concurrent pipeline** (`io_workers ≥ 1`): the actor-style crew
-//!   of [`super::crew`].  Long-lived per-shard I/O worker threads own
-//!   their lanes' fetch queues (bounded `sync_channel`s); the main
-//!   thread dispatches slot fetches in plan order — never more than
-//!   `prefetch_depth + 1` slots beyond the installing slot, the modeled
-//!   release constraint enforced for real — and I/O workers run each
-//!   slot's probe scans before streaming the completed load back over
-//!   the bounded completion channel.  The main-thread install stage
-//!   reorders completions back into plan order, runs the ledger charge
-//!   loop, and feeds chunk tasks to the persistent trigger workers.
+//! * `io_workers = 0` (the default): the main thread fetches each slot
+//!   inline, in plan order, just before installing it — no I/O
+//!   threads, no channels, no reorder wait.
+//! * `io_workers ≥ 1`: per-shard I/O worker threads own their lanes'
+//!   bounded fetch queues.  The main thread dispatches slot fetches in
+//!   plan order — never more than `prefetch_depth + 1` slots beyond the
+//!   installing slot, the modeled release constraint enforced for real —
+//!   and installs completions back in plan order through a reorder
+//!   buffer.
 //!
 //! # Why determinism survives the concurrency
 //!
@@ -45,38 +42,38 @@
 //!   schedule-independent.
 //! * Ledger charging — the only mutation that decides modeled times and
 //!   traffic counters — happens solely on the main thread, in plan
-//!   order, behind the reorder buffer: the exact serial sequence.
+//!   order: the exact serial sequence.
 //! * Chunk statistics accumulate as `u64` additions (commutative,
 //!   exact) per pooled entry; the `f64` stage-time conversion happens
-//!   afterwards on the main thread in entry order, reproducing the
-//!   serial float-accumulation order bit-for-bit.
-//! * Vertex-state folds inside `process_chunk` use the same per-
-//!   partition locks and accumulator algebra as the fork-join path —
-//!   chunk-level parallelism was already result-neutral, and the crew
-//!   only changes *when* chunks run, not how their results merge.
+//!   afterwards on the main thread in entry order.
+//! * Vertex-state folds inside `process_chunk` use per-partition locks
+//!   and the program's accumulator algebra, so chunk-level parallelism
+//!   is result-neutral: the crew changes *when* chunks run, not how
+//!   their results merge.
 //!
 //! # Modeled time
 //!
-//! With width > 1 and `prefetch_depth = 0` the modeled round time is the
-//! two-machine flow shop of PR 1 ([`flowshop_makespan`]): slot *i+1*'s
-//! fused Load overlapping slot *i*'s Trigger.  With `prefetch_depth > 0`
-//! Load splits into disk-fetch (per-shard lanes, issued up to `depth`
-//! slots early) and memory-install (shared channel), and the round is
-//! priced by the three-stage
+//! A round is priced by the two-machine flow shop
+//! ([`flowshop_makespan`]): slot *i+1*'s fused Load overlapping slot
+//! *i*'s Trigger.  A single slot has nothing to overlap, so width 1 is
+//! linear (`load + trigger`).  With more than one slot and
+//! `prefetch_depth > 0`, Load splits into disk-fetch (per-shard lanes,
+//! issued up to `depth` slots early) and memory-install (shared
+//! channel), and the round is priced by the three-stage
 //! [`pipeline_makespan`](super::prefetch::pipeline_makespan).  The
-//! executor choice never changes modeled figures — both paths drive the
-//! ledger identically.
+//! fetch-stage placement (inline or I/O workers) never changes a
+//! modeled figure.
 
 use std::sync::Arc;
 
 use cgraph_memsim::{CacheObject, Metrics};
 
 use crate::engine::Engine;
-use crate::exec::crew::{Dispatch, ExecCrew, ExecError, FetchMsg};
+use crate::exec::crew::{ExecCrew, ExecError, FetchMsg};
 use crate::exec::planner::SlotKey;
-use crate::job::{JobRuntime, ProcessStats};
+use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
-use crate::workers::{plan_chunks_into, ChunkTask, ProbeTask, TaskPool};
+use crate::workers::{plan_chunks_into, ChunkTask};
 
 /// Makespan of a fixed-sequence two-stage pipeline: stage-one times
 /// `loads` (serialized, e.g. the shared memory channel) feed stage-two
@@ -99,22 +96,20 @@ pub fn flowshop_makespan(loads: &[f64], triggers: &[f64]) -> f64 {
 }
 
 /// Reusable per-round scratch: the wave description, the stage-time
-/// vectors, and the concurrent executor's recycled channel payloads.
-/// Kept on the [`Engine`] across rounds so the hot loop stops recloning
-/// job lists and rebuilding batch vectors every round — after the first
-/// round at a given wave shape, a round allocates nothing here (the
-/// fetch/completion messages and their buffers round-trip through
-/// `fetch_pool` instead of being reallocated per round).
+/// vectors, and the recycled fetch payloads.  Kept on the [`Engine`]
+/// across rounds so the hot loop stops recloning job lists and
+/// rebuilding batch vectors every round — after the first round at a
+/// given wave shape, a round allocates nothing here (the fetch messages
+/// and their buffers round-trip through `fetch_pool` instead of being
+/// reallocated per round).
 #[derive(Default)]
 pub(crate) struct RoundBuffers {
     /// Planned slots as `(key, start, end)` ranges into `jobs`.
     slots: Vec<(SlotKey, usize, usize)>,
     /// Every planned slot's interested jobs, flattened.
     jobs: Vec<usize>,
-    /// Stage-one probe tasks (fork-join active prefetch only).
-    probes: Vec<ProbeTask>,
-    /// Probe results aligned with `jobs` (fork-join active prefetch only).
-    unprocessed: Vec<u64>,
+    /// The installing slot's probe results, aligned with its jobs.
+    counts: Vec<u64>,
     /// Per-slot fused Load seconds (two-stage model).
     load: Vec<f64>,
     /// Per-slot disk-fetch seconds (three-stage model).
@@ -127,19 +122,15 @@ pub(crate) struct RoundBuffers {
     lanes: Vec<usize>,
     /// Deduplicated jobs due a Push check this round.
     push_jobs: Vec<usize>,
-    /// One batch's unprocessed counts (straggler detection).
-    batch_unprocessed: Vec<u64>,
-    /// Concurrent path: reorder buffer for completed loads.
+    /// I/O-worker fetches: reorder buffer for completed loads.
     ready: Vec<Option<FetchMsg>>,
-    /// Concurrent path: recycled fetch/completion message payloads.
+    /// I/O-worker fetches: recycled fetch/completion message payloads.
     fetch_pool: Vec<FetchMsg>,
-    /// Concurrent path: pooled `(slot, job)` entry origins, in the
-    /// fork-join executor's exact entry order.
+    /// Pooled `(slot, job)` entry origins, in install order.
     origins: Vec<(usize, usize)>,
-    /// Concurrent path: per-entry chunk statistics, aligned with
-    /// `origins`.
+    /// Per-entry chunk statistics, aligned with `origins`.
     stats: Vec<ProcessStats>,
-    /// Concurrent path: one batch's planned chunk tasks.
+    /// One batch's planned chunk tasks.
     chunk_scratch: Vec<ChunkTask>,
 }
 
@@ -147,8 +138,6 @@ impl RoundBuffers {
     fn begin(&mut self, nslots: usize) {
         self.slots.clear();
         self.jobs.clear();
-        self.probes.clear();
-        self.unprocessed.clear();
         self.load.clear();
         self.fetch.clear();
         self.install.clear();
@@ -156,7 +145,6 @@ impl RoundBuffers {
         self.trigger.resize(nslots, 0.0);
         self.lanes.clear();
         self.push_jobs.clear();
-        self.batch_unprocessed.clear();
         self.origins.clear();
         self.stats.clear();
     }
@@ -165,19 +153,17 @@ impl RoundBuffers {
 impl Engine {
     /// Executes one round over the planned slots (indices into the slot
     /// planner's ordered view) and returns the round's modeled seconds
-    /// under the pipeline cost model.
+    /// under the pipeline cost model.  A dead worker parks a typed
+    /// [`ExecError`] on the engine and the round returns 0.
     pub(crate) fn exec_round(&mut self, picks: &[usize]) -> f64 {
-        // Width 1 must reproduce the legacy engine bit-for-bit, so only
-        // multi-slot waves may take the concurrent executor.
-        if picks.len() > 1 && self.config.io_workers > 0 {
-            self.exec_round_concurrent(picks)
-        } else {
-            self.exec_round_forkjoin(picks)
-        }
-    }
+        let workers = self.config.workers;
+        let cost = self.config.cost;
+        // The three-stage model only engages on multi-slot waves: a
+        // single slot has nothing to overlap, and `depth = 0` must stay
+        // on the two-stage model exactly.
+        let prefetching = picks.len() > 1 && self.prefetch.is_active();
 
-    /// Collects the planned wave into the round buffers.
-    fn collect_wave(&mut self, picks: &[usize], round: &mut RoundBuffers) {
+        let mut round = std::mem::take(&mut self.round);
         round.begin(picks.len());
         for &idx in picks {
             let (key, jobs) = self.planner.slot(idx);
@@ -185,187 +171,12 @@ impl Engine {
             round.jobs.extend_from_slice(jobs);
             round.slots.push((key, start, round.jobs.len()));
         }
-    }
-
-    /// The classic fork-join executor: serial charge loop, then one
-    /// scoped [`TaskPool`] drain (per batch at width 1).
-    fn exec_round_forkjoin(&mut self, picks: &[usize]) -> f64 {
-        let workers = self.config.workers;
-        let batch_size = workers.max(1);
-        let cost = self.config.cost;
-        // Width 1 must reproduce the legacy engine bit-for-bit, including
-        // its per-batch chunk drains (which fix the thread-pool task sets);
-        // wider waves pool every slot's tasks into one drain.
-        let pipelined = picks.len() > 1;
-        // The prefetch queue only engages on multi-slot waves: a single
-        // slot has nothing to overlap, and `depth = 0` must stay on the
-        // two-stage path exactly.
-        let prefetching = pipelined && self.prefetch.is_active();
-
-        let mut round = std::mem::take(&mut self.round);
-        self.collect_wave(picks, &mut round);
-
-        // --- Prefetch: issue the wave's stage-one probe scans through
-        // the worker pool in one parallel drain, before the serial charge
-        // loop consumes the counts batch by batch. ---
-        if prefetching {
-            for &((pid, _), start, end) in &round.slots {
-                for job_slot in start..end {
-                    round.probes.push(ProbeTask { job_slot, pid });
-                }
-            }
-            let runtimes: Vec<&dyn JobRuntime> =
-                round.jobs.iter().map(|&j| &*self.jobs[j].runtime).collect();
-            self.prefetch
-                .probe_wave(workers, &runtimes, &round.probes, &mut round.unprocessed);
-        }
-
-        let mut results: Vec<(usize, usize, ProcessStats)> = Vec::new();
-        let mut pool = TaskPool::new();
-        let mut batch_rt: Vec<(usize, &dyn JobRuntime)> = Vec::new();
-
-        // --- Load (and, at width 1, per-batch Trigger) ---
-        for (si, &((pid, version), start, end)) in round.slots.iter().enumerate() {
-            let slot_t0 = self.rec.start();
-            let before = *self.ledger.metrics();
-            let structure = CacheObject::Structure { pid, version };
-            let sbytes = self.jobs[round.jobs[start]]
-                .runtime
-                .view()
-                .partition(pid)
-                .structure_bytes();
-            let lane = self.prefetch.lane_of(pid);
-            round.lanes.push(lane);
-            let spills_possible = self.store.has_spills();
-            let mut pinned = false;
-            let mut off = start;
-            while off < end {
-                let batch_end = (off + batch_size).min(end);
-                // Each job in the batch touches the structure partition;
-                // after the first touch it is pinned resident for the
-                // whole round (§3.2.3).
-                for &j in &round.jobs[off..batch_end] {
-                    let outcome = self.ledger.charge_access_on(lane, j, structure, sbytes);
-                    // Capacity-spilled snapshot state: when the fetch
-                    // actually reaches disk *and* this job's view
-                    // resolves the partition through a spilled record,
-                    // the load pays one extra re-fetch from (modeled)
-                    // spill storage on the owning lane — inside the
-                    // Load interval, so the pipeline's fetch stage
-                    // prices it.  Cache-resident structures never pay.
-                    if spills_possible
-                        && outcome.bytes_from_disk > 0
-                        && self.jobs[j].runtime.view().partition_spilled(pid)
-                    {
-                        self.ledger.charge_spill_fetch(lane, j, sbytes);
-                    }
-                    if !pinned {
-                        self.ledger.pin(&structure);
-                        pinned = true;
-                    }
-                }
-                // Load the batch's private tables (structure stays
-                // pinned; only job-specific tables rotate).
-                for &j in &round.jobs[off..batch_end] {
-                    let tbytes = self.jobs[j].runtime.private_table_bytes(pid);
-                    self.ledger.charge_access_on(
-                        lane,
-                        j,
-                        CacheObject::PrivateTable { job: j as u32, pid },
-                        tbytes,
-                    );
-                }
-                round.batch_unprocessed.clear();
-                if prefetching {
-                    round
-                        .batch_unprocessed
-                        .extend_from_slice(&round.unprocessed[off..batch_end]);
-                } else {
-                    round.batch_unprocessed.extend(
-                        round.jobs[off..batch_end]
-                            .iter()
-                            .map(|&j| self.jobs[j].runtime.unprocessed_vertices(pid)),
-                    );
-                }
-                batch_rt.clear();
-                batch_rt.extend(
-                    round.jobs[off..batch_end]
-                        .iter()
-                        .map(|&j| (j, &*self.jobs[j].runtime)),
-                );
-                pool.plan_slot_batch(
-                    si,
-                    pid,
-                    &batch_rt,
-                    &round.batch_unprocessed,
-                    workers.max(batch_end - off),
-                    self.config.straggler_split,
-                );
-                if !pipelined {
-                    results.extend(pool.run(workers));
-                }
-                off = batch_end;
-            }
-            // Trigger compute has not been charged yet, so this interval
-            // is pure data access: the slot's Load leg — fused for the
-            // two-stage model, split disk/memory for the three-stage one.
-            let delta = self.ledger.metrics().since(&before);
-            if prefetching {
-                let stages = cost.stage_seconds(&delta, workers);
-                round.fetch.push(stages.fetch);
-                round.install.push(stages.install);
-            } else {
-                round.load.push(cost.access_seconds(&delta));
-            }
-            // Fork-join slots have no separate fetch leg, so the whole
-            // charge loop (plus per-batch chunk drains at width 1)
-            // reports as one Install span.
-            self.rec.complete(
-                EventKind::Install,
-                NONE,
-                pid,
-                self.round_no,
-                slot_t0,
-                (end - start) as u64,
-            );
-        }
-
-        // --- Trigger: drain every slot's tasks in one scoped pass ---
-        if pipelined {
-            results = pool.run(workers);
-        }
-        drop(pool);
-        drop(batch_rt);
-        for (si, j, stats) in results {
-            self.ledger.charge_compute(j, stats);
-            let as_metrics = Metrics {
-                vertex_ops: stats.vertex_ops,
-                edge_ops: stats.edge_ops,
-                ..Metrics::default()
-            };
-            round.trigger[si] += cost.compute_seconds(&as_metrics) / workers.max(1) as f64;
-        }
-        self.finish_round(round, prefetching)
-    }
-
-    /// The concurrent executor: per-shard I/O workers stream completed
-    /// loads over bounded channels into the main-thread install stage,
-    /// which feeds the persistent trigger workers.  Charge sequence,
-    /// chunk plan, and float-accumulation order replicate
-    /// [`Self::exec_round_forkjoin`] exactly — see the module docs.
-    fn exec_round_concurrent(&mut self, picks: &[usize]) -> f64 {
-        let workers = self.config.workers;
-        let cost = self.config.cost;
-        let prefetching = self.prefetch.is_active();
-
-        let mut round = std::mem::take(&mut self.round);
-        self.collect_wave(picks, &mut round);
         let mut crew = self.ensure_crew();
 
-        match self.pump_concurrent_round(&mut round, &mut crew) {
+        match self.pump_round(&mut round, &mut crew, prefetching) {
             Ok(()) => {
                 // --- Trigger merge: charge compute in pooled-entry
-                // order (the fork-join order). ---
+                // order. ---
                 for (idx, stats) in round.stats.iter().enumerate() {
                     let (si, j) = round.origins[idx];
                     self.ledger.charge_compute(j, *stats);
@@ -393,66 +204,79 @@ impl Engine {
         }
     }
 
-    /// The failable half of the concurrent round: fetch dispatch, the
-    /// ordered install loop, and the trigger drain.  Any dead worker or
-    /// disconnected channel surfaces here as a typed [`ExecError`].
-    fn pump_concurrent_round(
+    /// The failable half of the round: fetch, the ordered install loop,
+    /// and the trigger drain.  Any dead worker or disconnected channel
+    /// surfaces here as a typed [`ExecError`].
+    fn pump_round(
         &mut self,
         round: &mut RoundBuffers,
         crew: &mut ExecCrew,
+        prefetching: bool,
+    ) -> Result<(), ExecError> {
+        crew.begin_round(round.jobs.len());
+        if crew.has_io() {
+            self.pump_io_fetches(round, crew, prefetching)?;
+        } else {
+            for si in 0..round.slots.len() {
+                let ((pid, _), start, end) = round.slots[si];
+                round.counts.clear();
+                for &j in &round.jobs[start..end] {
+                    round
+                        .counts
+                        .push(self.jobs[j].runtime.unprocessed_vertices(pid));
+                }
+                self.install_slot(si, round, crew, prefetching);
+            }
+        }
+        if self.rec.on() {
+            let r = self.obs.registry();
+            r.histogram("chunk_tasks_per_round")
+                .record(crew.outstanding() as u64);
+            r.histogram("round_entries")
+                .record(round.origins.len() as u64);
+        }
+        crew.finish_round(&mut round.stats)
+    }
+
+    /// The fetch stage on I/O workers: dispatch in plan order within the
+    /// window, install completions back in plan order.
+    fn pump_io_fetches(
+        &mut self,
+        round: &mut RoundBuffers,
+        crew: &mut ExecCrew,
+        prefetching: bool,
     ) -> Result<(), ExecError> {
         let nslots = round.slots.len();
-        crew.begin_round(round.jobs.len());
         round.ready.clear();
         round.ready.resize_with(nslots, || None);
         let window = crew.window();
 
         let mut installed = 0usize;
         let mut next_dispatch = 0usize;
-        let mut stalled: Option<FetchMsg> = None;
         while installed < nslots {
             // Dispatch fetches in plan order, at most `window` slots
-            // beyond the installing slot, without ever blocking on a
-            // full fetch queue (deadlock freedom at capacity 1).
+            // beyond the installing slot: the channels hold `window`
+            // messages, so a dispatch never blocks.
             while next_dispatch < nslots && next_dispatch < installed + window {
-                let msg = match stalled.take() {
-                    Some(msg) => msg,
-                    None => {
-                        let ((pid, _), start, end) = round.slots[next_dispatch];
-                        let mut msg = round.fetch_pool.pop().unwrap_or_default();
-                        msg.seq = next_dispatch;
-                        msg.pid = pid;
-                        msg.jobs.clear();
-                        msg.jobs.extend(
-                            round.jobs[start..end]
-                                .iter()
-                                .map(|&j| (j, Arc::clone(&self.jobs[j].runtime))),
-                        );
-                        msg
-                    }
-                };
-                let lane = self.prefetch.lane_of(msg.pid);
-                let issue_pid = msg.pid;
-                match crew.try_dispatch(lane, msg) {
-                    Dispatch::Sent => {
-                        self.rec.instant(
-                            EventKind::FetchIssue,
-                            NONE,
-                            issue_pid,
-                            self.round_no,
-                            next_dispatch as u64,
-                        );
-                        next_dispatch += 1;
-                    }
-                    Dispatch::Full(msg) => {
-                        if self.rec.on() {
-                            self.obs.registry().counter("fetch_dispatch_stalls").inc();
-                        }
-                        stalled = Some(msg);
-                        break;
-                    }
-                    Dispatch::Dead(err) => return Err(err),
-                }
+                let ((pid, _), start, end) = round.slots[next_dispatch];
+                let mut msg = round.fetch_pool.pop().unwrap_or_default();
+                msg.seq = next_dispatch;
+                msg.pid = pid;
+                msg.jobs.clear();
+                msg.jobs.extend(
+                    round.jobs[start..end]
+                        .iter()
+                        .map(|&j| (j, Arc::clone(&self.jobs[j].runtime))),
+                );
+                crew.dispatch(self.prefetch.lane_of(pid), msg)?;
+                self.rec.instant(
+                    EventKind::FetchIssue,
+                    NONE,
+                    pid,
+                    self.round_no,
+                    next_dispatch as u64,
+                );
+                next_dispatch += 1;
             }
             // Install strictly in plan order; block only on the
             // completion channel, whose producers never wait on us.
@@ -479,55 +303,33 @@ impl Engine {
                 continue;
             }
             let mut msg = round.ready[installed].take().expect("checked above");
-            let install_t0 = self.rec.start();
-            self.install_slot(installed, &msg, round, crew);
-            if self.rec.on() {
-                let (_, start, end) = round.slots[installed];
-                self.rec.complete(
-                    EventKind::Install,
-                    NONE,
-                    msg.pid,
-                    self.round_no,
-                    install_t0,
-                    (end - start) as u64,
-                );
-                self.obs
-                    .registry()
-                    .histogram("install_us")
-                    .record(self.obs.now_ns().saturating_sub(install_t0) / 1000);
-            }
+            debug_assert_eq!(round.slots[installed].0 .0, msg.pid);
+            std::mem::swap(&mut round.counts, &mut msg.counts);
+            self.install_slot(installed, round, crew, prefetching);
+            std::mem::swap(&mut round.counts, &mut msg.counts);
             msg.jobs.clear();
             msg.counts.clear();
             round.fetch_pool.push(msg);
             installed += 1;
         }
-        debug_assert!(stalled.is_none());
-        if self.rec.on() {
-            let r = self.obs.registry();
-            r.histogram("chunk_tasks_per_round")
-                .record(crew.outstanding() as u64);
-            r.histogram("round_entries")
-                .record(round.origins.len() as u64);
-        }
-        crew.finish_round(&mut round.stats)
+        Ok(())
     }
 
-    /// Installs one completed load: the slot's ledger charge loop (the
-    /// fork-join executor's exact sequence) plus chunk-task handoff to
-    /// the crew's trigger workers.
+    /// Installs one fetched slot (its probe counts in `round.counts`):
+    /// the ledger charge loop, batch by batch, plus chunk-task handoff
+    /// to the crew's trigger workers.
     fn install_slot(
         &mut self,
         si: usize,
-        msg: &FetchMsg,
         round: &mut RoundBuffers,
         crew: &mut ExecCrew,
+        prefetching: bool,
     ) {
+        let install_t0 = self.rec.start();
         let workers = self.config.workers;
         let batch_size = workers.max(1);
         let cost = self.config.cost;
-        let prefetching = self.prefetch.is_active();
         let ((pid, version), start, end) = round.slots[si];
-        debug_assert_eq!(pid, msg.pid);
         let before = *self.ledger.metrics();
         let structure = CacheObject::Structure { pid, version };
         let sbytes = self.jobs[round.jobs[start]]
@@ -542,8 +344,18 @@ impl Engine {
         let mut off = start;
         while off < end {
             let batch_end = (off + batch_size).min(end);
+            // Each job in the batch touches the structure partition;
+            // after the first touch it is pinned resident for the whole
+            // round (§3.2.3).
             for &j in &round.jobs[off..batch_end] {
                 let outcome = self.ledger.charge_access_on(lane, j, structure, sbytes);
+                // Capacity-spilled snapshot state: when the fetch
+                // actually reaches disk *and* this job's view resolves
+                // the partition through a spilled record, the load pays
+                // one extra re-fetch from (modeled) spill storage on the
+                // owning lane — inside the Load interval, so the
+                // pipeline's fetch stage prices it.  Cache-resident
+                // structures never pay.
                 if spills_possible
                     && outcome.bytes_from_disk > 0
                     && self.jobs[j].runtime.view().partition_spilled(pid)
@@ -555,6 +367,8 @@ impl Engine {
                     pinned = true;
                 }
             }
+            // Load the batch's private tables (structure stays pinned;
+            // only job-specific tables rotate).
             for &j in &round.jobs[off..batch_end] {
                 let tbytes = self.jobs[j].runtime.private_table_bytes(pid);
                 self.ledger.charge_access_on(
@@ -564,19 +378,13 @@ impl Engine {
                     tbytes,
                 );
             }
-            // The I/O worker already ran this slot's probe scans; their
-            // values are position-aligned with the slot's job list.
-            round.batch_unprocessed.clear();
-            round
-                .batch_unprocessed
-                .extend_from_slice(&msg.counts[(off - start)..(batch_end - start)]);
             let base = round.origins.len();
             for &j in &round.jobs[off..batch_end] {
                 round.origins.push((si, j));
             }
             plan_chunks_into(
                 pid,
-                &round.batch_unprocessed,
+                &round.counts[(off - start)..(batch_end - start)],
                 workers.max(batch_end - off),
                 self.config.straggler_split,
                 &mut round.chunk_scratch,
@@ -593,6 +401,9 @@ impl Engine {
             }
             off = batch_end;
         }
+        // Trigger compute has not been charged yet, so this interval is
+        // pure data access: the slot's Load leg — fused for the
+        // two-stage model, split disk/memory for the three-stage one.
         let delta = self.ledger.metrics().since(&before);
         if prefetching {
             let stages = cost.stage_seconds(&delta, workers);
@@ -601,10 +412,24 @@ impl Engine {
         } else {
             round.load.push(cost.access_seconds(&delta));
         }
+        if self.rec.on() {
+            self.rec.complete(
+                EventKind::Install,
+                NONE,
+                pid,
+                self.round_no,
+                install_t0,
+                (end - start) as u64,
+            );
+            self.obs
+                .registry()
+                .histogram("install_us")
+                .record(self.obs.now_ns().saturating_sub(install_t0) / 1000);
+        }
     }
 
-    /// The round tail shared by both executors: mark the wave processed,
-    /// run Push for every finished iteration, and price the round.
+    /// The round tail: mark the wave processed, run Push for every
+    /// finished iteration, and price the round.
     fn finish_round(&mut self, mut round: RoundBuffers, prefetching: bool) -> f64 {
         let workers = self.config.workers;
         let cost = self.config.cost;

@@ -6,8 +6,8 @@
 //! engine.  This module makes every I/O boundary in the workspace
 //! fallible *on demand*, from a reproducible schedule:
 //!
-//! * **Shard fetch** (the engine's Load stage, fork-join and concurrent
-//!   crew alike) — the fallible boundary.  Each planned slot's fetch is
+//! * **Shard fetch** (the engine's Load stage, whichever thread runs
+//!   the fetch) — the fallible boundary.  Each planned slot's fetch is
 //!   admitted through [`FaultPlane::admit_fetch`] on the main thread
 //!   before the round executes: transient faults are retried under the
 //!   [`RetryPolicy`] (exponential backoff, deterministic jitter,
@@ -25,9 +25,9 @@
 //!   the recovery suite's territory, driven by the file harness
 //!   re-exported below).
 //! * **Trigger workers** — [`FaultConfig::panic_chunk`] injects a panic
-//!   into a chosen `process_chunk` call inside the concurrent crew,
-//!   exercising the worker-death path (`Engine::exec_error`) end to
-//!   end.
+//!   into a chosen `process_chunk` call inside the crew's trigger
+//!   workers, exercising the worker-death path (`Engine::exec_error`)
+//!   end to end.
 //!
 //! # Determinism
 //!
@@ -35,7 +35,7 @@
 //! `(seed, boundary, stable coordinates, attempt)` — SplitMix64-style
 //! mixing, no shared counters, no wall clock.  Two runs with the same
 //! seed and the same workload draw identical schedules regardless of
-//! thread interleaving, channel capacities, or shard counts, so the
+//! thread interleaving, I/O-worker counts, or shard counts, so the
 //! chaos differential suite can require completed-job results to be
 //! bit-identical to a fault-free run.  Backoff, jitter, and latency
 //! spikes are modeled (virtual) seconds folded into the engine's
@@ -231,7 +231,7 @@ pub struct FaultConfig {
     pub retry: RetryPolicy,
     /// Per-lane fetch circuit breakers.
     pub breaker: BreakerConfig,
-    /// Inject a panic into the concurrent crew's trigger stage when it
+    /// Inject a panic into the crew's trigger stage when it
     /// processes `(partition, chunk)` — the worker-death drill.
     pub panic_chunk: Option<(u32, usize)>,
 }

@@ -27,8 +27,8 @@ pub enum EventKind {
     /// Main loop installed one fetched partition: ledger charges plus
     /// trigger-chunk handoff.
     Install = 3,
-    /// A compute worker drained one trigger chunk.
-    TriggerChunk = 4,
+    // 4 is retired (trigger time is the `trigger_us` histogram); the
+    // discriminants are stable, so it is never reused.
     /// End-of-round Push stage (batched sorted push, all finishing jobs).
     Push = 5,
     /// One snapshot-store `apply`: record append + current-index rebuild.
@@ -72,7 +72,6 @@ impl EventKind {
             EventKind::FetchComplete => "fetch_complete",
             EventKind::ReorderWait => "reorder_wait",
             EventKind::Install => "install",
-            EventKind::TriggerChunk => "trigger_chunk",
             EventKind::Push => "push",
             EventKind::ApplyRebuild => "apply_rebuild",
             EventKind::WalAppend => "wal_append",
@@ -99,7 +98,6 @@ impl EventKind {
             1 => EventKind::FetchComplete,
             2 => EventKind::ReorderWait,
             3 => EventKind::Install,
-            4 => EventKind::TriggerChunk,
             5 => EventKind::Push,
             6 => EventKind::ApplyRebuild,
             7 => EventKind::WalAppend,

@@ -7,8 +7,8 @@
 //!
 //! * **Event tracing** — each pipeline thread gets a [`Recorder`]
 //!   backed by its own bounded lock-free [`Ring`] of typed span
-//!   [`Event`]s (fetch issue/complete, reorder wait, install, trigger
-//!   chunk, apply rebuild, WAL append/fsync, spill/rehydrate, admission
+//!   [`Event`]s (fetch issue/complete, reorder wait, install, push,
+//!   apply rebuild, WAL append/fsync, spill/rehydrate, admission
 //!   defer/release), each stamped with (thread, job, shard, round,
 //!   monotonic ns).  [`Observer::dump`] drains every ring into a
 //!   [`TraceDump`] exportable as Chrome `trace_event` JSON

@@ -656,7 +656,7 @@ impl ServeLoop {
                 }
                 continue;
             }
-            // A faulted engine (concurrent-executor worker death) can
+            // A faulted engine (crew worker death) can
             // never finish its open jobs: stop serving instead of
             // spinning on the idle-clock jump.
             if self.engine.exec_error().is_some() {

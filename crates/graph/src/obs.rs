@@ -17,8 +17,8 @@
 //! Most hooks fire on the thread calling [`ShardedSnapshotStore::apply`]
 //! (append, fsync, spill, checkpoint) and are therefore serial per
 //! store.  The exception is [`StoreObserver::rehydrate`], which fires on
-//! whatever thread faults a spilled payload back in — under the
-//! concurrent executor that is any `cgraph-io-N` worker.  Implementations
+//! whatever thread faults a spilled payload back in — under the engine
+//! that may be any of its crew's worker threads.  Implementations
 //! must be `Send + Sync` and treat `rehydrate` as concurrent.
 //!
 //! All durations are wall-clock microseconds measured at the call site;

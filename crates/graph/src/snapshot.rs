@@ -63,21 +63,6 @@
 //!   resolves a partition through a spilled record reports it via
 //!   [`GraphView::partition_spilled`], which the engines price as a
 //!   disk re-fetch on the owning shard's lane (the spill signal).
-//! - **Concurrent apply** ([`ShardedSnapshotStore::with_apply_workers`],
-//!   default 1 = the serial path): partition rebuilds — pure,
-//!   lock-free reads of the pre-delta state — fan out on scoped worker
-//!   threads claiming partitions from a shared cursor.  The whole
-//!   rebuild path is lock-free: each worker stacks its results in a
-//!   local vector and the main thread merges the pid-tagged results
-//!   after the scope joins.  Deltas whose estimated rebuild work is
-//!   too small to amortize a thread spawn stay serial
-//!   ([`ShardedSnapshotStore::with_apply_threshold`], default
-//!   [`DEFAULT_APPLY_EDGES_PER_WORKER`] edges per worker; `0` removes
-//!   the clamp for the differential suites).  The vertex-level
-//!   current-index merge stays single-threaded and ordered, so the
-//!   result is **bit-identical** to the serial apply at any worker
-//!   count (pinned by `tests/store_stress.rs` and the
-//!   `placement_is_transparent` proptest).
 //!
 //! # Durability
 //!
@@ -95,7 +80,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -609,13 +593,6 @@ pub struct ShardedSnapshotStore {
     current: CurrentIndex,
     compaction: CompactionPolicy,
     capacity: ShardCapacity,
-    /// Worker threads `apply` may fan partition rebuilds out on
-    /// (1 = the serial path, bit-for-bit).
-    apply_workers: usize,
-    /// Estimated rebuild edges each apply worker must have before the
-    /// fan-out engages (0 = no clamp; see
-    /// [`with_apply_threshold`](Self::with_apply_threshold)).
-    apply_edges_per_worker: usize,
     /// Store-wide count of spilled records (fast-path guard: spill
     /// checks are free while nothing has ever spilled).
     spilled_records: usize,
@@ -653,16 +630,6 @@ struct ReplayStats {
 /// defaults to one shard via [`ShardedSnapshotStore::new`].
 pub type SnapshotStore = ShardedSnapshotStore;
 
-/// Default minimum rebuild work (estimated affected edges) per apply
-/// worker before `apply` fans out on threads.  Below roughly this many
-/// edges per worker, the spawn/join cost of a scoped thread exceeds
-/// the rebuild it would perform and fanning out is a slowdown.
-pub const DEFAULT_APPLY_EDGES_PER_WORKER: usize = 8192;
-
-/// One worker's locally accumulated rebuild results during a
-/// concurrent `apply` (lock-free; merged on the main thread).
-type RebuildResults = Vec<(PartitionId, Result<Partition, SnapshotError>)>;
-
 impl ShardedSnapshotStore {
     /// Wraps a base partitioned graph as snapshot timestamp 0, on a
     /// single shard.
@@ -690,8 +657,6 @@ impl ShardedSnapshotStore {
             current: CurrentIndex::default(),
             compaction: CompactionPolicy::default(),
             capacity: ShardCapacity::default(),
-            apply_workers: 1,
-            apply_edges_per_worker: DEFAULT_APPLY_EDGES_PER_WORKER,
             spilled_records: 0,
             wal: None,
             observer: ObsHandle::none(),
@@ -774,41 +739,6 @@ impl ShardedSnapshotStore {
     /// The active per-shard capacity budget.
     pub fn capacity(&self) -> ShardCapacity {
         self.capacity
-    }
-
-    /// Sets how many worker threads [`apply`](Self::apply) may fan the
-    /// partition rebuilds out on (builder style; clamped to at least 1).
-    /// Results are bit-identical at any worker count — rebuilds are pure
-    /// per-partition functions of the pre-delta state, sequenced per
-    /// shard, and installed in deterministic order.
-    pub fn with_apply_workers(mut self, workers: usize) -> Self {
-        self.apply_workers = workers.max(1);
-        self
-    }
-
-    /// Worker threads `apply` fans out on (1 = serial).
-    pub fn apply_workers(&self) -> usize {
-        self.apply_workers
-    }
-
-    /// Sets the minimum estimated rebuild work (affected edges) each
-    /// apply worker must have before [`apply`](Self::apply) fans out
-    /// (builder style).  Small deltas stay serial regardless of
-    /// [`with_apply_workers`](Self::with_apply_workers): below the
-    /// threshold, the spawn/join cost of scoped threads dwarfs the
-    /// rebuild itself and the fan-out is a net slowdown.  `0` disables
-    /// the clamp entirely — a test-only override that keeps the
-    /// unclamped concurrent path reachable on the tiny fixtures the
-    /// differential suites use.  Results are bit-identical either way.
-    pub fn with_apply_threshold(mut self, edges_per_worker: usize) -> Self {
-        self.apply_edges_per_worker = edges_per_worker;
-        self
-    }
-
-    /// Estimated affected edges required per apply worker before the
-    /// fan-out engages (`0` = no clamp).
-    pub fn apply_threshold(&self) -> usize {
-        self.apply_edges_per_worker
     }
 
     /// Whether any record's payload has ever been spilled.
@@ -1181,15 +1111,8 @@ impl ShardedSnapshotStore {
             }
         };
 
-        // 4. Rebuild each affected partition's edge share.  A rebuild is
-        //    a pure, lock-free function of the pre-delta state, so with
-        //    more than one apply worker the rebuilds fan out on scoped
-        //    threads claiming partitions from a shared cursor; each
-        //    worker accumulates its results locally (no shared lock on
-        //    the rebuild path) and the main thread merges after the
-        //    join.  The vertex-level merge afterwards stays
-        //    single-threaded and ordered, so the result is
-        //    bit-identical to the serial path at any worker count.
+        // 4. Rebuild each affected partition's edge share: a pure
+        //    function of the pre-delta state, in ascending pid order.
         let rebuild_one = |pid: PartitionId| -> Result<Partition, SnapshotError> {
             let mut edges = resolve(pid).edges_global();
             if let Some(rm) = removed.get(&pid) {
@@ -1218,87 +1141,9 @@ impl ShardedSnapshotStore {
             edges.sort_by_key(|e| (e.src, e.dst));
             Ok(Partition::from_edges_with(pid, &edges, &new_degree))
         };
-        // More threads than units of work is pure overhead, so clamp to
-        // the work count — but deliberately NOT to the machine's core
-        // count: a caller asking for 4 apply workers gets 4 real
-        // threads even on a 1-core host, so the differential suites
-        // exercise the concurrent path (not a silently serial fallback)
-        // on every machine that runs them.  Small deltas additionally
-        // clamp to the estimated rebuild work (one thread per
-        // `apply_edges_per_worker` affected edges): below the
-        // threshold the spawn/join cost exceeds the rebuild itself,
-        // so the fan-out would be a slowdown, not a speedup.
-        let rebuild_edges: usize = affected
-            .iter()
-            .map(|&pid| resolve(pid).num_edges())
-            .sum::<usize>()
-            + delta.additions.len();
-        let work_cap = match self.apply_edges_per_worker {
-            0 => usize::MAX,
-            per => (rebuild_edges / per).max(1),
-        };
-        let fanout = |units: usize| self.apply_workers.min(units).min(work_cap);
-        let mut rebuilt: HashMap<PartitionId, Partition> = HashMap::new();
-        let threads = fanout(affected.len());
-        if threads > 1 {
-            // Workers claim partitions from a shared cursor and stack
-            // results in a worker-local vector — the rebuild path holds
-            // no lock at all; the main thread merges the pid-tagged
-            // results after the scope joins, so the chain inputs
-            // assemble identically however the partitions interleave
-            // across workers.
-            let cursor = AtomicUsize::new(0);
-            let results: Vec<Result<RebuildResults, StoreError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = RebuildResults::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&pid) = affected.get(i) else {
-                                    break;
-                                };
-                                local.push((pid, rebuild_one(pid)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                // A panicked worker must not abort the whole store:
-                // surface it as a typed error and refuse the partial
-                // result (no state has been installed yet).
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| StoreError::WorkerPanic("apply partition rebuild"))
-                    })
-                    .collect()
-            });
-            // Surface the error the serial (sorted-pid) loop would have
-            // hit first; a worker panic outranks any semantic error.
-            let mut first_err: Option<(PartitionId, SnapshotError)> = None;
-            for local in results {
-                for (pid, r) in local? {
-                    match r {
-                        Ok(p) => {
-                            rebuilt.insert(pid, p);
-                        }
-                        Err(e) => {
-                            if first_err.is_none_or(|(fp, _)| pid < fp) {
-                                first_err = Some((pid, e));
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some((_, e)) = first_err {
-                return Err(e.into());
-            }
-        } else {
-            for &pid in &affected {
-                rebuilt.insert(pid, rebuild_one(pid)?);
-            }
+        let mut parts: Vec<(PartitionId, Partition)> = Vec::with_capacity(affected.len());
+        for &pid in &affected {
+            parts.push((pid, rebuild_one(pid)?));
         }
 
         // 5. Recompute replica membership and masters for the touched
@@ -1312,9 +1157,9 @@ impl ShardedSnapshotStore {
                 .copied()
                 .filter(|p| affected.binary_search(p).is_err())
                 .collect();
-            for &pid in &affected {
-                if rebuilt[&pid].local_of(v).is_some() {
-                    reps.push(pid);
+            for (pid, p) in &parts {
+                if p.local_of(v).is_some() {
+                    reps.push(*pid);
                 }
             }
             reps.sort_unstable();
@@ -1330,41 +1175,12 @@ impl ShardedSnapshotStore {
         }
 
         // 6. Patch master metadata and group rebuilt partitions by the
-        //    shard that owns them.  Patching is per-partition local, so
-        //    it rides the same worker budget as the rebuilds (one chunk
-        //    of the pid-sorted vector per worker); the result is
-        //    independent of the split.
+        //    shard that owns them (`parts` is already pid-sorted).
         let master_lookup = |v: VertexId| -> PartitionId {
             master_delta.get(&v).copied().unwrap_or_else(|| master(v))
         };
-        let mut parts: Vec<(PartitionId, Partition)> = rebuilt.into_iter().collect();
-        parts.sort_unstable_by_key(|&(pid, _)| pid);
-        let threads = fanout(parts.len());
-        if threads > 1 {
-            let chunk = parts.len().div_ceil(threads);
-            let lookup = &master_lookup;
-            // Join explicitly: an unwinding patch worker becomes a typed
-            // error instead of propagating the panic out of the scope.
-            let panicked = std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .chunks_mut(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            for (_, p) in slice.iter_mut() {
-                                p.patch_masters(lookup);
-                            }
-                        })
-                    })
-                    .collect();
-                handles.into_iter().any(|h| h.join().is_err())
-            });
-            if panicked {
-                return Err(StoreError::WorkerPanic("apply master patch"));
-            }
-        } else {
-            for (_, p) in parts.iter_mut() {
-                p.patch_masters(&master_lookup);
-            }
+        for (_, p) in parts.iter_mut() {
+            p.patch_masters(&master_lookup);
         }
         let mut by_shard: HashMap<usize, Vec<(PartitionId, Partition)>> = HashMap::new();
         for (pid, p) in parts {
@@ -2235,8 +2051,6 @@ impl ShardedSnapshotStore {
             current,
             compaction: manifest.compaction,
             capacity: manifest.capacity,
-            apply_workers: 1,
-            apply_edges_per_worker: DEFAULT_APPLY_EDGES_PER_WORKER,
             spilled_records,
             wal: Some(wal),
             observer: ObsHandle::none(),
@@ -3653,103 +3467,6 @@ mod tests {
         for sh in 0..s.num_shards() {
             assert_eq!(s.shard(sh).num_spilled(), 0);
         }
-    }
-
-    /// Concurrent apply is bit-identical to serial apply: same records,
-    /// versions, views, and resident accounting at any worker count.
-    #[test]
-    fn concurrent_apply_matches_serial_bit_for_bit() {
-        let build = |workers: usize, shards: usize| {
-            let el = GraphBuilder::new(16)
-                .edges((0..16u32).map(|v| (v, (v + 1) % 16)))
-                .build();
-            let mut s = ShardedSnapshotStore::with_shards(
-                VertexCutPartitioner::new(8).partition(&el),
-                shards,
-            )
-            .with_apply_workers(workers)
-            // The fixture is tiny; disable the work-size clamp so the
-            // concurrent rebuild path actually runs.
-            .with_apply_threshold(0);
-            assert_eq!(s.apply_workers(), workers.max(1));
-            for i in 1..=12u64 {
-                // Each delta spans several partitions so the fan-out is real.
-                let d = GraphDelta::adding([
-                    Edge::unit((i % 16) as u32, ((i + 5) % 16) as u32),
-                    Edge::unit(((i + 8) % 16) as u32, ((i + 2) % 16) as u32),
-                    Edge::unit(((i + 4) % 16) as u32, ((i + 11) % 16) as u32),
-                ]);
-                s.apply(i, &d).unwrap();
-            }
-            Arc::new(s)
-        };
-        let serial = build(1, 4);
-        for (workers, shards) in [(2, 4), (4, 4), (8, 4), (4, 1)] {
-            let par = build(workers, shards);
-            assert_eq!(par.override_bytes(), build(1, shards).override_bytes());
-            for ts in 0..=12u64 {
-                let a = serial.view_at(ts);
-                let b = par.view_at(ts);
-                for pid in 0..8 {
-                    assert_eq!(a.version_of(pid), b.version_of(pid), "ts {ts} pid {pid}");
-                    assert_eq!(
-                        a.partition(pid).edges_global(),
-                        b.partition(pid).edges_global(),
-                        "w {workers} ts {ts} pid {pid}"
-                    );
-                }
-                for v in 0..16 {
-                    assert_eq!(a.master_of(v), b.master_of(v));
-                    assert_eq!(a.replicas_of(v), b.replicas_of(v));
-                    assert_eq!(a.degree_of(v), b.degree_of(v));
-                }
-            }
-        }
-        // Errors surface identically: the serial loop's first (smallest
-        // affected pid) edge-not-found wins in both modes.
-        let mut a = store_mut().with_apply_workers(4).with_apply_threshold(0);
-        let mut b = store_mut();
-        let bad = GraphDelta {
-            additions: vec![Edge::unit(0, 2), Edge::unit(4, 6)],
-            removals: vec![(0, 1), (0, 1)],
-        };
-        assert_eq!(a.apply(1, &bad).unwrap_err(), b.apply(1, &bad).unwrap_err());
-    }
-
-    /// The work-size threshold keeps small applies serial even with a
-    /// large worker budget, and `0` removes the clamp — observable only
-    /// through the builder/accessor and bit-identical results, since
-    /// thread count never changes what any view sees.
-    #[test]
-    fn apply_threshold_defaults_and_override() {
-        let s = store_mut();
-        assert_eq!(s.apply_threshold(), DEFAULT_APPLY_EDGES_PER_WORKER);
-        let s = s.with_apply_threshold(0);
-        assert_eq!(s.apply_threshold(), 0);
-        let s = s.with_apply_threshold(1024);
-        assert_eq!(s.apply_threshold(), 1024);
-
-        // A small delta applied under a huge worker budget with the
-        // default threshold (clamped serial) must match the unclamped
-        // concurrent apply and the plain serial apply bit-for-bit.
-        let run = |workers: usize, threshold: usize| {
-            let mut s = store_mut()
-                .with_apply_workers(workers)
-                .with_apply_threshold(threshold);
-            for i in 1..=6u64 {
-                let v = (i % 8) as u32;
-                s.apply(i, &GraphDelta::adding([Edge::unit(v, (v + 2) % 8)]))
-                    .unwrap();
-            }
-            let s = Arc::new(s);
-            let view = s.view_at(6);
-            (0..view.num_partitions() as u32)
-                .map(|pid| (view.version_of(pid), view.partition(pid).edges_global()))
-                .collect::<Vec<_>>()
-        };
-        let serial = run(1, DEFAULT_APPLY_EDGES_PER_WORKER);
-        assert_eq!(run(8, DEFAULT_APPLY_EDGES_PER_WORKER), serial);
-        assert_eq!(run(8, 0), serial);
     }
 
     /// The default policy keeps resident bytes far below the EveryK(1)

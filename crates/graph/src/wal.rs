@@ -163,9 +163,6 @@ pub enum StoreError {
     },
     /// An underlying filesystem error.
     Io(io::Error),
-    /// A fan-out worker thread panicked mid-apply; the store refused to
-    /// install a partial result.
-    WorkerPanic(&'static str),
 }
 
 impl PartialEq for StoreError {
@@ -185,7 +182,6 @@ impl PartialEq for StoreError {
                 StoreError::VersionMismatch { found: f2, supported: s2 },
             ) => found == f2 && supported == s2,
             (StoreError::Io(a), StoreError::Io(b)) => a.kind() == b.kind(),
-            (StoreError::WorkerPanic(a), StoreError::WorkerPanic(b)) => a == b,
             _ => false,
         }
     }
@@ -208,7 +204,6 @@ impl std::fmt::Display for StoreError {
                 )
             }
             StoreError::Io(e) => write!(f, "log i/o error: {e}"),
-            StoreError::WorkerPanic(what) => write!(f, "worker panicked during {what}"),
         }
     }
 }

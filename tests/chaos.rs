@@ -2,7 +2,7 @@
 //!
 //! The core property: for a *random* fault schedule (any seed, any
 //! transient/spike/permanent rates) and any {shards × io_workers ×
-//! channel capacity × journal} configuration, every job that completes
+//! prefetch depth × journal} configuration, every job that completes
 //! under injection produces results **bit-identical** to the fault-free
 //! run — faults may delay, reroute, or quarantine work, but never
 //! corrupt it.  Jobs that do not complete are *quarantined* with a
@@ -88,7 +88,7 @@ enum Outcome {
 fn run_mix(
     store: &Arc<SnapshotStore>,
     io_workers: usize,
-    capacity: usize,
+    depth: usize,
     faults: Option<Arc<FaultPlane>>,
 ) -> Vec<Outcome> {
     let mut engine = Engine::new(
@@ -97,7 +97,7 @@ fn run_mix(
             workers: 2,
             wavefront: 4,
             io_workers,
-            channel_capacity: capacity,
+            prefetch_depth: depth,
             hierarchy: tight_hierarchy(store),
             faults,
             ..EngineConfig::default()
@@ -140,7 +140,7 @@ fn baseline(idx: usize) -> &'static Vec<Outcome> {
     static BASE: OnceLock<Vec<Vec<Outcome>>> = OnceLock::new();
     &BASE.get_or_init(|| {
         (0..SHARD_CHOICES.len())
-            .map(|i| run_mix(shared_store(i), 0, 2, None))
+            .map(|i| run_mix(shared_store(i), 0, 1, None))
             .collect()
     })[idx]
 }
@@ -158,7 +158,8 @@ proptest! {
         permanent_rate in 0.0f64..0.05,
         shard_idx in 0usize..SHARD_CHOICES.len(),
         io_workers in (0usize..4).prop_map(|i| [0usize, 1, 2, 4][i]),
-        capacity in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
+        // Depths 0/1/3 bound the crew's channels at 1/2/4 messages.
+        depth in (0usize..3).prop_map(|i| [0usize, 1, 3][i]),
     ) {
         let store = shared_store(shard_idx);
         let plane = FaultPlane::new(FaultConfig {
@@ -169,7 +170,7 @@ proptest! {
             spike_seconds: 1e-3,
             ..FaultConfig::default()
         });
-        let chaos = run_mix(store, io_workers, capacity, Some(Arc::clone(&plane)));
+        let chaos = run_mix(store, io_workers, depth, Some(Arc::clone(&plane)));
         let clean = baseline(shard_idx);
         for (got, want) in chaos.iter().zip(clean) {
             match got {
@@ -201,7 +202,7 @@ proptest! {
         };
         let run = || {
             let plane = FaultPlane::new(cfg);
-            let out = run_mix(store, io_workers, 2, Some(Arc::clone(&plane)));
+            let out = run_mix(store, io_workers, 1, Some(Arc::clone(&plane)));
             (out, plane.stats())
         };
         let (a, a_stats): (Vec<Outcome>, FaultStats) = run();
@@ -225,7 +226,7 @@ fn aggressive_faults_quarantine_typed_without_hang() {
         breaker: cgraph::core::BreakerConfig { trip_after: 0, ..Default::default() },
         ..FaultConfig::default()
     });
-    let outcomes = run_mix(store, 2, 1, Some(Arc::clone(&plane)));
+    let outcomes = run_mix(store, 2, 0, Some(Arc::clone(&plane)));
     let quarantined = outcomes
         .iter()
         .filter(|o| matches!(o, Outcome::Quarantined(_)))

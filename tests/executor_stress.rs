@@ -1,8 +1,10 @@
-//! Concurrent-executor differential stress: the channel-staged pipeline
-//! (`EngineConfig::io_workers`) must be bit-identical to the fork-join
-//! executor at every I/O-worker count, prefetch depth, and channel
-//! capacity — including capacity 1, where any ordering bug in the
-//! dispatch loop shows up as a deadlock (caught by CI's per-binary
+//! Round-executor differential stress: every I/O-worker count and
+//! prefetch depth must reproduce, bit for bit, the digests the retired
+//! fork-join executor produced on this fixture (pinned below), so the
+//! single crew executor is checked against the path it replaced rather
+//! than against itself.  Depth 0 gives a one-slot dispatch window, so
+//! both crew channels hold a single message — where any ordering bug in
+//! the dispatch loop shows up as a deadlock (caught by CI's per-binary
 //! timeout) instead of a wrong answer.
 //!
 //! The mix uses integer-valued programs only (BFS, SSSP, WCC,
@@ -39,6 +41,54 @@ fn shared_store() -> Arc<SnapshotStore> {
     Arc::new(store)
 }
 
+/// FNV-1a over little-endian bytes: a stable digest of result vectors.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// What the fork-join executor produced for [`run_cfg`] at
+/// `io_workers = 0` (results hash, loads, metrics, and the modeled
+/// seconds' bit pattern per prefetch depth), recorded before it was
+/// folded into the crew.
+const FORK_JOIN_HASH: u64 = 0x63e3_3a3b_f4e1_eb68;
+const FORK_JOIN_LOADS: u64 = 216;
+const FORK_JOIN_METRICS: Metrics = Metrics {
+    cache_accesses: 1476,
+    cache_misses: 955,
+    memory_misses: 112,
+    bytes_mem_to_cache: 1_484_288,
+    bytes_disk_to_mem: 200_328,
+    edge_ops: 18508,
+    vertex_ops: 10512,
+    sync_ops: 25770,
+};
+const FORK_JOIN_MODELED_BITS: [(usize, u64); 3] = [
+    (0, 0x3f47_53db_1cbc_665d),
+    (2, 0x3f43_25e7_de2f_a78c),
+    (4, 0x3f42_3ede_4d82_dea5),
+];
+
+/// The fork-join executor's width-1 digest of the BFS + SSSP pair in
+/// [`width_one_waves_stay_on_the_legacy_path`].
+const WIDTH_ONE_HASH: u64 = 0x805c_b59e_1196_090e;
+const WIDTH_ONE_LOADS: u64 = 96;
+const WIDTH_ONE_METRICS: Metrics = Metrics {
+    cache_accesses: 675,
+    cache_misses: 417,
+    memory_misses: 48,
+    bytes_mem_to_cache: 682_664,
+    bytes_disk_to_mem: 96464,
+    edge_ops: 5715,
+    vertex_ops: 4171,
+    sync_ops: 11215,
+};
+const WIDTH_ONE_MODELED_BITS: u64 = 0x3f36_9599_89f3_4128;
+
 /// Everything one run can observe, flattened for exact comparison.
 #[derive(PartialEq, Debug)]
 struct RunDigest {
@@ -51,10 +101,45 @@ struct RunDigest {
     late_bfs: Vec<u32>,
     loads: u64,
     metrics: Metrics,
-    /// Bit pattern of the modeled pipeline seconds: the concurrent
-    /// executor must reproduce the serial charge/accumulation order
-    /// exactly, so even the float result is bit-identical.
+    /// Bit pattern of the modeled pipeline seconds: the executor must
+    /// reproduce the serial charge/accumulation order exactly, so even
+    /// the float result is bit-identical.
     modeled_bits: u64,
+}
+
+impl RunDigest {
+    fn results_hash(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        for v in &self.bfs {
+            fnv(&mut h, &v.to_le_bytes());
+        }
+        for v in &self.sssp {
+            fnv(&mut h, &v.to_bits().to_le_bytes());
+        }
+        for v in &self.wcc {
+            fnv(&mut h, &v.to_le_bytes());
+        }
+        for v in &self.reach {
+            fnv(&mut h, &[*v as u8]);
+        }
+        for v in &self.late_bfs {
+            fnv(&mut h, &v.to_le_bytes());
+        }
+        h
+    }
+
+    /// Asserts this digest is the pinned fork-join one at `depth`.
+    fn assert_fork_join(&self, depth: usize, what: &str) {
+        let bits = FORK_JOIN_MODELED_BITS
+            .iter()
+            .find(|&&(d, _)| d == depth)
+            .expect("pinned depth")
+            .1;
+        assert_eq!(self.results_hash(), FORK_JOIN_HASH, "{what}: results");
+        assert_eq!(self.loads, FORK_JOIN_LOADS, "{what}: loads");
+        assert_eq!(self.metrics, FORK_JOIN_METRICS, "{what}: metrics");
+        assert_eq!(self.modeled_bits, bits, "{what}: modeled seconds");
+    }
 }
 
 /// Tight enough that loads actually rotate through the cache.
@@ -66,12 +151,7 @@ fn tight_hierarchy(store: &Arc<SnapshotStore>) -> HierarchyConfig {
     HierarchyConfig { cache_bytes: (total / 4).max(1), memory_bytes: total * 4 }
 }
 
-fn run_cfg(
-    store: &Arc<SnapshotStore>,
-    io_workers: usize,
-    depth: usize,
-    capacity: usize,
-) -> RunDigest {
+fn run_cfg(store: &Arc<SnapshotStore>, io_workers: usize, depth: usize) -> RunDigest {
     let hierarchy = tight_hierarchy(store);
     let mut engine = Engine::new(
         Arc::clone(store),
@@ -80,7 +160,6 @@ fn run_cfg(
             wavefront: 4,
             prefetch_depth: depth,
             io_workers,
-            channel_capacity: capacity,
             hierarchy,
             ..EngineConfig::default()
         },
@@ -108,61 +187,48 @@ fn run_cfg(
 #[test]
 fn channel_pipeline_matches_serial_at_every_worker_count_and_depth() {
     let store = shared_store();
-    for depth in [0usize, 2, 4] {
-        let serial = run_cfg(&store, 0, depth, 2);
-        for io in [1usize, 2, 4, 8] {
-            let concurrent = run_cfg(&store, io, depth, 2);
-            assert_eq!(
-                concurrent, serial,
-                "io_workers={io} depth={depth} diverged from fork-join"
-            );
+    for depth in [2usize, 4] {
+        for io in [0usize, 1, 2, 4, 8] {
+            run_cfg(&store, io, depth).assert_fork_join(depth, &format!("io={io} depth={depth}"));
         }
     }
 }
 
 #[test]
 fn capacity_one_channels_neither_deadlock_nor_diverge() {
-    // Capacity 1 maximally stresses the dispatch loop's no-blocking
-    // invariant: a full fetch queue must stash-and-drain, never block.
+    // Depth 0 is a one-slot dispatch window, so both channels hold one
+    // message: the dispatch loop must never block on a full queue.
     let store = shared_store();
-    for depth in [0usize, 2, 4] {
-        let serial = run_cfg(&store, 0, depth, 1);
-        for io in [1usize, 4, 8] {
-            let concurrent = run_cfg(&store, io, depth, 1);
-            assert_eq!(
-                concurrent, serial,
-                "io_workers={io} depth={depth} capacity=1 diverged"
-            );
-        }
+    for io in [0usize, 1, 4, 8] {
+        run_cfg(&store, io, 0).assert_fork_join(0, &format!("io={io} depth=0"));
     }
 }
 
 #[test]
 fn racing_engines_on_one_shared_store_stay_deterministic() {
-    // Several concurrent engines — different I/O-worker counts, depths,
-    // and channel bounds — race on the same Arc'd store from separate
-    // OS threads; every one must land on the serial digest.
+    // Several engines with different I/O-worker counts race on the same
+    // Arc'd store from separate OS threads; every one must land on the
+    // pinned digest.
     let store = shared_store();
-    let serial = run_cfg(&store, 0, 2, 2);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = [(1usize, 1usize), (2, 2), (4, 1), (8, 4)]
+        let handles: Vec<_> = [0usize, 1, 4, 8]
             .into_iter()
-            .map(|(io, capacity)| {
+            .map(|io| {
                 let store = Arc::clone(&store);
-                scope.spawn(move || run_cfg(&store, io, 2, capacity))
+                scope.spawn(move || (io, run_cfg(&store, io, 2)))
             })
             .collect();
         for handle in handles {
-            let digest = handle.join().expect("racing engine run panicked");
-            assert_eq!(digest, serial, "racing engine diverged from serial");
+            let (io, digest) = handle.join().expect("racing engine run panicked");
+            digest.assert_fork_join(2, &format!("racing io={io}"));
         }
     });
 }
 
 #[test]
 fn width_one_waves_stay_on_the_legacy_path() {
-    // A single-slot wave has nothing to pipeline: io_workers must be
-    // ignored and the classic executor reproduced exactly.
+    // A single-slot wave has nothing to pipeline: at any io_workers it
+    // keeps the linear pricing and reproduces the pinned digest.
     let store = shared_store();
     let run = |io: usize| {
         let mut engine = Engine::new(
@@ -179,15 +245,28 @@ fn width_one_waves_stay_on_the_legacy_path() {
         let s = engine.submit(Sssp::new(1));
         let report = engine.run();
         assert!(report.completed);
+        let mut h = FNV_OFFSET;
+        for v in engine.results::<Bfs>(b).unwrap() {
+            fnv(&mut h, &v.to_le_bytes());
+        }
+        for v in engine.results::<Sssp>(s).unwrap() {
+            fnv(&mut h, &v.to_bits().to_le_bytes());
+        }
         (
-            engine.results::<Bfs>(b).unwrap(),
-            engine.results::<Sssp>(s).unwrap(),
+            h,
             report.loads,
             report.metrics,
             report.modeled_seconds.to_bits(),
         )
     };
-    assert_eq!(run(8), run(0));
+    let pinned = (
+        WIDTH_ONE_HASH,
+        WIDTH_ONE_LOADS,
+        WIDTH_ONE_METRICS,
+        WIDTH_ONE_MODELED_BITS,
+    );
+    assert_eq!(run(0), pinned, "io_workers=0");
+    assert_eq!(run(8), pinned, "io_workers=8");
 }
 
 #[test]
@@ -196,42 +275,48 @@ fn injected_worker_panic_surfaces_typed_without_hanging() {
     // crew's trigger stage at a fixed (partition, chunk) coordinate must
     // travel the same unwind-guard path as crashing user code — a typed
     // `ExecError::WorkerPanic` parked on the engine, run not completed,
-    // no hang even at channel capacity 1 (CI's per-binary timeout is the
-    // deadlock detector).
+    // no hang (CI's per-binary timeout is the deadlock detector) — on
+    // every executor shape: I/O workers behind one-slot channels, and
+    // inline fetches at width 1 and width 4.
     let store = shared_store();
-    let plane = FaultPlane::new(FaultConfig {
-        // Chunk 0 of partition 0 is processed by every run that touches
-        // the partition, so the drill always fires.
-        panic_chunk: Some((0, 0)),
-        ..FaultConfig::default()
-    });
-    let mut engine = Engine::new(
-        Arc::clone(&store),
-        EngineConfig {
-            workers: 2,
-            wavefront: 4,
-            io_workers: 2,
-            channel_capacity: 1,
-            hierarchy: tight_hierarchy(&store),
-            faults: Some(plane),
-            ..EngineConfig::default()
-        },
-    );
-    engine.submit_at(Bfs::new(0), 0);
-    engine.submit_at(Sssp::new(1), 50);
-    let report = engine.run();
-    assert!(
-        !report.completed,
-        "a dead worker must not report completion"
-    );
-    assert_eq!(
-        engine.exec_error(),
-        Some(ExecError::WorkerPanic(
-            "process_chunk panicked in a trigger worker"
-        )),
-        "the injected panic must surface as the typed crew fault"
-    );
-    // The engine parked the fault: further stepping refuses instead of
-    // hanging or re-panicking over the half-dead pipeline.
-    assert!(!engine.step_round(), "faulted engine must refuse rounds");
+    for (wavefront, io_workers) in [(4usize, 2usize), (1, 0), (4, 0)] {
+        let plane = FaultPlane::new(FaultConfig {
+            // Chunk 0 of partition 0 is processed by every run that
+            // touches the partition, so the drill always fires.
+            panic_chunk: Some((0, 0)),
+            ..FaultConfig::default()
+        });
+        let mut engine = Engine::new(
+            Arc::clone(&store),
+            EngineConfig {
+                workers: 2,
+                wavefront,
+                io_workers,
+                hierarchy: tight_hierarchy(&store),
+                faults: Some(plane),
+                ..EngineConfig::default()
+            },
+        );
+        engine.submit_at(Bfs::new(0), 0);
+        engine.submit_at(Sssp::new(1), 50);
+        let report = engine.run();
+        let what = format!("wavefront={wavefront} io={io_workers}");
+        assert!(
+            !report.completed,
+            "{what}: a dead worker must not report completion"
+        );
+        assert_eq!(
+            engine.exec_error(),
+            Some(ExecError::WorkerPanic(
+                "process_chunk panicked in a trigger worker"
+            )),
+            "{what}: the injected panic must surface as the typed crew fault"
+        );
+        // The engine parked the fault: further stepping refuses instead
+        // of hanging or re-panicking over the half-dead pipeline.
+        assert!(
+            !engine.step_round(),
+            "{what}: faulted engine must refuse rounds"
+        );
+    }
 }

@@ -269,7 +269,7 @@ fn resolve_stream(el: &EdgeList, rounds: &[Round]) -> Vec<GraphDelta> {
 
 /// Builds the store under one {shards, placement, capacity} layout and
 /// runs the chained differential for every program under one
-/// {io_workers, channel_capacity} executor shape.
+/// {io_workers, prefetch_depth} executor shape.
 fn differential_layout(
     el: &EdgeList,
     deltas: &[GraphDelta],
@@ -277,7 +277,7 @@ fn differential_layout(
     placement: ShardPlacement,
     cap: ShardCapacity,
     io_workers: usize,
-    channel_capacity: usize,
+    prefetch_depth: usize,
 ) {
     use cgraph::graph::snapshot::ShardedSnapshotStore;
     let ps = VertexCutPartitioner::new(PARTS).partition(el);
@@ -287,7 +287,7 @@ fn differential_layout(
     }
     let store = Arc::new(store);
     let versions: Vec<u64> = (0..=deltas.len() as u64).map(|i| i * 10).collect();
-    let cfg = EngineConfig { workers: 2, io_workers, channel_capacity, ..EngineConfig::default() };
+    let cfg = EngineConfig { workers: 2, io_workers, prefetch_depth, ..EngineConfig::default() };
 
     macro_rules! chain {
         ($program:expr, $ty:ty) => {{
@@ -333,12 +333,13 @@ proptest! {
         layout in 0usize..3,
     ) {
         let deltas = resolve_stream(&el, &rounds);
-        let (shards, placement, cap, io_workers, channel_capacity) = match layout {
-            0 => (1, ShardPlacement::RoundRobin, ShardCapacity::UNLIMITED, 1, 2),
-            1 => (2, ShardPlacement::Hash, ShardCapacity::UNLIMITED, 2, 1),
-            _ => (3, ShardPlacement::RoundRobin, ShardCapacity::bytes(1), 2, 4),
+        // Depths 1/0/3 bound the crew's channels at 2/1/4 messages.
+        let (shards, placement, cap, io_workers, prefetch_depth) = match layout {
+            0 => (1, ShardPlacement::RoundRobin, ShardCapacity::UNLIMITED, 1, 1),
+            1 => (2, ShardPlacement::Hash, ShardCapacity::UNLIMITED, 2, 0),
+            _ => (3, ShardPlacement::RoundRobin, ShardCapacity::bytes(1), 2, 3),
         };
-        differential_layout(&el, &deltas, shards, placement, cap, io_workers, channel_capacity);
+        differential_layout(&el, &deltas, shards, placement, cap, io_workers, prefetch_depth);
     }
 }
 

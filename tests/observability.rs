@@ -126,6 +126,12 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
         );
         assert!(dump.events.iter().any(|e| e.kind == EventKind::Install));
         assert!(traced_obs.registry().counter("rounds").get() > 0);
+        // Trigger workers time every chunk into a lossless histogram
+        // instead of a ring span per chunk.
+        assert!(
+            traced_obs.registry().histogram("trigger_us").count() > 0,
+            "io={io} depth={depth}: no trigger_us samples"
+        );
     }
 }
 

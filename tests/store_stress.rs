@@ -1,5 +1,6 @@
-//! The multi-node store differential stress suite: concurrent per-shard
-//! apply is bit-identical to serial apply under thread contention,
+//! The multi-node store differential stress suite: stores applying on
+//! racing threads are bit-identical to one serial apply at any shard
+//! count and placement,
 //! capacity eviction only ever spills checkpoint-covered records (and
 //! its re-fetches are charged on the owning shard's lane), and locality
 //! placement cuts cross-shard fetch traffic without changing anything a
@@ -7,8 +8,8 @@
 //!
 //! CI runs this binary both on the default parallel test harness and
 //! under `cargo test -q -- --test-threads=1`, so ordering-dependent
-//! flakiness in the concurrent-apply path shows up as a diff between
-//! the two runs.
+//! flakiness in the racing writers shows up as a diff between the two
+//! runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,9 +82,9 @@ fn apply_all(mut store: ShardedSnapshotStore, stream: &[GraphDelta]) -> Arc<Shar
 }
 
 /// N writer threads, each driving its own store through the same
-/// 200-delta stream under a different {shards × apply workers ×
-/// placement} configuration, all racing at once: every final chain must
-/// be bit-identical to the single-threaded serial reference, view by
+/// 200-delta stream under a different {shards × placement}
+/// configuration, all racing at once: every final chain must be
+/// bit-identical to the single-threaded serial reference, view by
 /// historical view.
 #[test]
 fn concurrent_apply_stress_matches_serial() {
@@ -94,12 +95,12 @@ fn concurrent_apply_stress_matches_serial() {
         &stream,
     ));
 
-    let configs: Vec<(usize, usize, ShardPlacement)> = vec![
-        (1, 4, ShardPlacement::RoundRobin),
-        (4, 2, ShardPlacement::RoundRobin),
-        (4, 4, ShardPlacement::RoundRobin),
-        (8, 4, ShardPlacement::Hash),
-        (4, 4, {
+    let configs: Vec<(usize, ShardPlacement)> = vec![
+        (1, ShardPlacement::RoundRobin),
+        (2, ShardPlacement::RoundRobin),
+        (4, ShardPlacement::RoundRobin),
+        (8, ShardPlacement::Hash),
+        (4, {
             let mut profile = cgraph::graph::FootprintProfile::new();
             for c in 0..4u32 {
                 profile.record((0..PARTITIONS as u32).filter(|p| p % 4 == c));
@@ -107,23 +108,18 @@ fn concurrent_apply_stress_matches_serial() {
             ShardPlacement::locality(&profile, PARTITIONS, 4)
         }),
     ];
-    let results: Vec<(usize, usize, Vec<ViewDigest>)> = std::thread::scope(|scope| {
+    let results: Vec<(usize, Vec<ViewDigest>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = configs
             .into_iter()
-            .map(|(shards, workers, placement)| {
+            .map(|(shards, placement)| {
                 let ps = ps.clone();
                 let stream = &stream;
                 scope.spawn(move || {
                     let store = apply_all(
-                        ShardedSnapshotStore::with_placement(ps, shards, placement)
-                            .with_apply_workers(workers)
-                            // The fixture's deltas are small; disable
-                            // the work-size clamp so the concurrent
-                            // rebuild path is what this suite races.
-                            .with_apply_threshold(0),
+                        ShardedSnapshotStore::with_placement(ps, shards, placement),
                         stream,
                     );
-                    (shards, workers, digests(&store))
+                    (shards, digests(&store))
                 })
             })
             .collect();
@@ -132,18 +128,14 @@ fn concurrent_apply_stress_matches_serial() {
             .map(|h| h.join().expect("writer"))
             .collect()
     });
-    for (shards, workers, got) in results {
-        assert_eq!(
-            got, reference,
-            "shards={shards} workers={workers} diverged from serial apply"
-        );
+    for (shards, got) in results {
+        assert_eq!(got, reference, "shards={shards} diverged from serial apply");
     }
 }
 
 /// Writers interleaving applies on ONE shared store (a ticket per delta
-/// keeps the global timestamp order; each holder fans its apply out on
-/// 4 workers) must produce exactly the serial chain — and must not
-/// deadlock under lock contention.
+/// keeps the global timestamp order) must produce exactly the serial
+/// chain — and must not deadlock under lock contention.
 #[test]
 fn interleaved_writers_on_shared_store_stay_serializable() {
     let ps = base();
@@ -154,11 +146,7 @@ fn interleaved_writers_on_shared_store_stay_serializable() {
     ));
 
     const WRITERS: usize = 4;
-    let store = Mutex::new(Some(
-        ShardedSnapshotStore::with_shards(ps, 4)
-            .with_apply_workers(4)
-            .with_apply_threshold(0),
-    ));
+    let store = Mutex::new(Some(ShardedSnapshotStore::with_shards(ps, 4)));
     let turn = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
